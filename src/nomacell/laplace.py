@@ -2,9 +2,11 @@
 
 One-dimensional inversion follows the Euler-summation method on the
 Bromwich line; the two-dimensional kernel uses a trapezoidal double
-Fourier series with Wynn-epsilon tail extrapolation.  Both kernels treat
-the transform as a black box evaluated on vertical contours with
-Re > 0, so fractional powers s**(2/alpha) stay on the principal branch.
+Fourier series with Wynn-epsilon tail extrapolation, run on all inner
+row sums in one batched pass and then once on the outer sum.  Both
+kernels treat the transform as a black box evaluated on vertical
+contours with Re > 0, so fractional powers s**(2/alpha) stay on the
+principal branch.
 """
 from __future__ import annotations
 
@@ -49,20 +51,20 @@ class Inversion1DConfig:
 class Inversion2DConfig:
     """Trapezoidal 2D inversion parameters.
 
-    Each axis gets a sampling half-period of 1.25 times its evaluation
-    abscissa (keeping the argument well inside one period even when the two
-    abscissae are far apart); `square_period` ties both axes to the larger
-    one, which keeps the transform arguments constant along anti-diagonals
-    (cheaper for transforms of s + t).  `L` is the series truncation order,
-    `p_eps` the epsilon-extrapolation depth (2 * p_eps + 1 partial sums)
-    and `e_r` the discretization error target fixing the contour abscissae
+    The sampling half-periods follow the evaluation point: each axis gets
+    1.25 times its evaluation abscissa (keeping the argument well inside
+    one period even when the two abscissae are far apart);
+    `square_period` ties both axes to the larger one, which keeps the
+    transform arguments constant along anti-diagonals (cheaper for
+    transforms of s + t).  `L` is the series truncation order, `p_eps`
+    the epsilon-extrapolation depth (2 * p_eps + 1 partial sums) and
+    `e_r` the discretization error target fixing the contour abscissae
     c1, c2 unless given explicitly.
     """
 
     L: int = 80
     p_eps: int = 8
     e_r: float = 1e-8
-    T: float | None = None
     c1: float | None = None
     c2: float | None = None
     square_period: bool = False
@@ -74,9 +76,7 @@ class Inversion2DConfig:
     def resolve(self, theta1: float, theta2: float
                 ) -> tuple[float, float, float, float]:
         """Concrete (T1, T2, c1, c2) for an evaluation point."""
-        if self.T is not None:
-            T1 = T2 = self.T
-        elif self.square_period:
+        if self.square_period:
             T1 = T2 = 1.25 * max(theta1, theta2)
         else:
             T1, T2 = 1.25 * theta1, 1.25 * theta2
@@ -115,33 +115,40 @@ def invert_1d(transform, tau: float, config: Inversion1DConfig | None = None) ->
 
 
 def epsilon_accelerate(partial_sums, return_diagnostics: bool = False):
-    """Wynn epsilon extrapolation of a sequence of partial sums.
+    """Wynn epsilon extrapolation of partial sums along the last axis.
 
-    Expects an odd number (>= 3) of partial sums and returns the final
-    even-column table entry.  A numerically singular table (difference
-    below 1e-300) stops the recursion and returns the best value reached
-    so far; with `return_diagnostics` the degradation flag is reported.
+    Each index of the leading axes holds an independent sequence of an odd
+    number (>= 3) of partial sums, and the result holds the final
+    even-column table entry of each: an array of the leading shape, or a
+    scalar (a float for real input) when `partial_sums` is 1D.  A sequence
+    whose table turns numerically singular (a difference below 1e-300)
+    freezes at that step and keeps the best even-column entry it reached,
+    while the others go on.  With `return_diagnostics` a single bool
+    reports whether any sequence froze.
     """
     sums = np.asarray(partial_sums)
-    n = len(sums)
+    n = sums.shape[-1] if sums.ndim else 0
     if n < 3 or n % 2 == 0:
         raise ValueError("epsilon acceleration needs an odd number >= 3 of partial sums")
-    e_prev = np.zeros(n + 1, dtype=complex)
+    e_prev = np.zeros(sums.shape[:-1] + (n + 1,), dtype=complex)
     e_curr = sums.astype(complex)
-    best = e_curr[-1]
-    degraded = False
-    for k in range(1, n):
-        diff = e_curr[1:] - e_curr[:-1]
-        if np.any(np.abs(diff) < 1e-300):
-            degraded = True
-            break
-        e_next = e_prev[1:len(e_curr)] + 1.0 / diff
-        e_prev, e_curr = e_curr, e_next
-        if k % 2 == 0:
-            best = e_curr[-1]
-    value = best if np.iscomplexobj(sums) else float(best.real)
+    best = e_curr[..., -1]
+    frozen = np.zeros(sums.shape[:-1], dtype=bool)
+    # Frozen tables are updated along with the rest; results are discarded.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n):
+            diff = e_curr[..., 1:] - e_curr[..., :-1]
+            frozen |= np.any(np.abs(diff) < 1e-300, axis=-1)
+            if frozen.all():
+                break
+            e_prev, e_curr = e_curr, e_prev[..., 1:e_curr.shape[-1]] + 1.0 / diff
+            if k % 2 == 0:
+                best = np.where(frozen, best, e_curr[..., -1])
+    value = best if np.iscomplexobj(sums) else best.real
+    if sums.ndim == 1:
+        value = value[()] if np.iscomplexobj(sums) else float(value)
     if return_diagnostics:
-        return value, degraded
+        return value, bool(frozen.any())
     return value
 
 
@@ -153,7 +160,9 @@ def invert_2d(transform, theta1: float, theta2: float,
     `transform` is called once with broadcastable complex grids (column of
     s values, row of t values) and must return the elementwise transform.
     Tail sums over both indices are extrapolated with the epsilon
-    algorithm using 2 * p_eps + 1 partial sums.
+    algorithm using 2 * p_eps + 1 partial sums: one batched call for every
+    row's inner sum, one for the outer sum; `full_output`'s
+    `epsilon_degraded` is true if any of those tables froze.
     """
     if theta1 <= 0 or theta2 <= 0:
         raise ValueError("inversion abscissae must be positive")
@@ -179,12 +188,8 @@ def invert_2d(transform, theta1: float, theta2: float,
     inner = W[:, zero + 1:] + W[:, zero - 1::-1]
     inner[0, :] = W[0, zero + 1:]
     inner_cum = np.cumsum(inner, axis=1)
-    degraded = False
-    rows = np.empty(n_max + 1, dtype=complex)
-    for i in range(n_max + 1):
-        rows[i], d = epsilon_accelerate(inner_cum[i, L - 1:L + 2 * P],
+    rows, degraded = epsilon_accelerate(inner_cum[:, L - 1:L + 2 * P],
                                         return_diagnostics=True)
-        degraded |= d
     rows[0] += 0.5 * W[0, zero]
     rows[1:] += W[1:, zero]
     total, d = epsilon_accelerate(np.cumsum(rows)[L - 1:L + 2 * P],

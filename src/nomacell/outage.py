@@ -464,10 +464,9 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
     if reduced is not None:
         return reduced
     F = _near_joint_transform(eff, pair, stream, phi)
-    if cfg.T is None and not cfg.square_period:
-        # Tie the sampling periods so the distance functional is evaluated
-        # once per anti-diagonal instead of once per grid node.
-        cfg = replace(cfg, square_period=True)
+    # Tie the sampling periods so the distance functional is evaluated
+    # once per anti-diagonal instead of once per grid node.
+    cfg = replace(cfg, square_period=True)
     q, info = invert_2d(F, th.theta_kt_bar, th.theta_k_bar, cfg, full_output=True)
     flag = "epsilon_degraded" if info["epsilon_degraded"] else None
     return _clamp(1.0 - q, method, flag)

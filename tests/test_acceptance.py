@@ -75,6 +75,7 @@ def test_criterion_1_inversion_kernels():
     _ok(f"criterion 1: inversion kernels vs analytic pairs ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_far_conditional_vs_mc(conditional_grid):
     for r, far, _, _, mc in conditional_grid["rows"]:
         assert -1e-4 <= far.raw <= 1 + 1e-4   # inversion error budget
@@ -86,6 +87,7 @@ def test_criterion_2_far_conditional_vs_mc(conditional_grid):
         f"all {len(RATE_GRID)} rates ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_near_exact_vs_mc_and_approx(conditional_grid):
     for r, _, near, approx, mc in conditional_grid["rows"]:
         assert -1e-4 <= near.raw <= 1 + 1e-4  # inversion error budget
@@ -131,6 +133,7 @@ def test_criterion_4_average_lambda_flatness(table_params):
         f"low-intensity degradation reproduced ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_grouping_policy_ordering(table_params):
     rnd, dst = GroupingPolicy("random"), GroupingPolicy("distance")
     sc_r = build_scenario(table_params, PairConfig(), seed=SEED, policy=rnd)
@@ -215,6 +218,7 @@ def test_criterion_7_signal_alignment(table_params):
         "optimality over 100 random channels")
 
 
+@pytest.mark.slow
 def test_criterion_8_goodput_dominance(table_params):
     t0 = time.monotonic()
     goodputs = []

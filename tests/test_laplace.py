@@ -1,11 +1,61 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from nomacell import (Inversion1DConfig, Inversion2DConfig, epsilon_accelerate,
-                      invert_1d, invert_2d)
+from nomacell import (Inversion1DConfig, Inversion2DConfig, NetworkParams,
+                      build_scenario, epsilon_accelerate, invert_1d, invert_2d,
+                      near_outage_conditional_exact)
+from nomacell import laplace, outage
+
+
+def _epsilon_reference(partial_sums, return_diagnostics=False):
+    """Row-by-row Wynn recursion: one scalar table per leading index, each
+    stopping at its own first singular difference.  The batched kernel must
+    reproduce it bit for bit."""
+    sums = np.asarray(partial_sums)
+    if sums.ndim > 1:
+        out = np.empty(sums.shape[:-1], dtype=complex)
+        degraded = False
+        for idx in np.ndindex(out.shape):
+            out[idx], d = _epsilon_reference(sums[idx], return_diagnostics=True)
+            degraded |= d
+        value = out if np.iscomplexobj(sums) else out.real
+        return (value, degraded) if return_diagnostics else value
+    n = len(sums)
+    e_prev = np.zeros(n + 1, dtype=complex)
+    e_curr = sums.astype(complex)
+    best = e_curr[-1]
+    degraded = False
+    for k in range(1, n):
+        diff = e_curr[1:] - e_curr[:-1]
+        if np.any(np.abs(diff) < 1e-300):
+            degraded = True
+            break
+        e_next = e_prev[1:len(e_curr)] + 1.0 / diff
+        e_prev, e_curr = e_curr, e_next
+        if k % 2 == 0:
+            best = e_curr[-1]
+    value = best if np.iscomplexobj(sums) else float(best.real)
+    return (value, degraded) if return_diagnostics else value
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _tables(rng, n=17):
+    """Partial-sum rows that freeze at step 1, step 2, step 3, or never."""
+    terms = rng.integers(1, 1000, size=(5, n)).astype(float)
+    terms[0, 4] = 0.0                        # repeated partial sum: step 1
+    terms[1, 6] = terms[1, 5]                # equal first differences: step 2
+    terms[2] = 0.5 ** np.arange(1, n + 1)    # e_2 exactly constant: step 3
+    terms[3] = (-1.0) ** np.arange(n) / np.arange(1, n + 1)
+    terms[4] = rng.normal(size=n)
+    return np.cumsum(terms, axis=1)
 
 
 class TestInvert1D:
@@ -100,10 +150,52 @@ class TestInvert2D:
         assert abs(got - want) <= 1e-5
 
     def test_epsilon_degradation_flag_surfaces(self):
-        val, info = invert_2d(lambda s, t: 1 / (s * t), 1.0, 1.0,
-                              full_output=True)
-        assert abs(val - 1.0) <= 1e-6
-        assert info["epsilon_degraded"] in (True, False)
+        # only the first few harmonics are nonzero, so every row's partial
+        # sums are constant over the extrapolation window
+        def F(s, t):
+            keep = (np.abs(s.imag) < 10.0) & (np.abs(t.imag) < 10.0)
+            return np.where(keep, 1 / (s * t), 0.0)
+
+        _, info = invert_2d(F, 1.0, 1.0, full_output=True)
+        assert info["epsilon_degraded"] is True
+
+    def test_degraded_inversion_surfaces_in_outage_flag(self, table_scenario,
+                                                        table_params,
+                                                        monkeypatch):
+        link = table_scenario.link(1)
+        joint = outage._near_joint_transform
+
+        def real_axis_only(*args):
+            F = joint(*args)
+            return lambda s, t: np.where((s.imag == 0) & (t.imag == 0),
+                                         F(s, t), 0.0)
+
+        monkeypatch.setattr(outage, "_near_joint_transform", real_axis_only)
+        res = near_outage_conditional_exact(link.eff_near, link.pair,
+                                            table_params)
+        assert res.flag == "epsilon_degraded"
+
+    @pytest.mark.parametrize("lambda_b", [1e-5, 1e-7, 0.0])
+    def test_near_exact_matches_row_by_row_reference(self, lambda_b,
+                                                     table_pair, monkeypatch):
+        params = replace(NetworkParams(), lambda_b=lambda_b)
+        links = [build_scenario(params, table_pair.with_rates(R_k=2 * r, R_kt=r),
+                                kappa=kappa, k_factor_db=kdb,
+                                seed=20240717).link(1)
+                 for kdb, kappa in ((10.0, 0.5), (20.0, 0.9), (40.0, 0.9))
+                 for r in (0.5, 1.5)]
+
+        def near_all():
+            return [near_outage_conditional_exact(lk.eff_near, lk.pair, params)
+                    for lk in links]
+
+        batched = near_all()
+        monkeypatch.setattr(laplace, "epsilon_accelerate", _epsilon_reference)
+        rowwise = near_all()
+        for got, want in zip(batched, rowwise):
+            assert _same_bits(got.raw, want.raw)
+            assert got.flag == want.flag
+        assert any(r.flag == "epsilon_degraded" for r in batched)
 
     def test_rejects_nonpositive_abscissae(self):
         with pytest.raises(ValueError):
@@ -138,3 +230,49 @@ class TestEpsilonAcceleration:
     def test_requires_odd_count(self):
         with pytest.raises(ValueError):
             epsilon_accelerate([1.0, 2.0])
+        with pytest.raises(ValueError):
+            epsilon_accelerate(np.ones((3, 4)))
+
+    def test_one_dimensional_input_returns_a_scalar(self):
+        val, degraded = epsilon_accelerate([1.0, 1.5, 1.75],
+                                           return_diagnostics=True)
+        assert type(val) is float and type(degraded) is bool
+        assert np.ndim(epsilon_accelerate([1j, 1.5j, 1.75j])) == 0
+
+    def test_reference_freezes_the_intended_rows(self, rng):
+        flags = [_epsilon_reference(row, return_diagnostics=True)[1]
+                 for row in _tables(rng)]
+        assert flags == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_batched_rows_match_reference_bitwise(self, rng, kind):
+        table = _tables(rng)
+        if kind == "complex":
+            table = table + 1j * table[:, ::-1]
+        got, degraded = epsilon_accelerate(table, return_diagnostics=True)
+        want, want_degraded = _epsilon_reference(table, return_diagnostics=True)
+        assert _same_bits(got, want)
+        assert degraded is want_degraded is True
+        for rows in ([0], [1], [2], [3], [4], [3, 4], [1, 3], [2, 4]):
+            got, degraded = epsilon_accelerate(table[rows],
+                                               return_diagnostics=True)
+            want, want_degraded = _epsilon_reference(table[rows],
+                                                     return_diagnostics=True)
+            assert _same_bits(got, want)
+            assert degraded is want_degraded
+            for row, value in zip(rows, got):
+                assert _same_bits(value, _epsilon_reference(table[row]))
+
+    def test_frozen_rows_keep_their_best_even_entry(self, rng):
+        table = _tables(rng)
+        got = epsilon_accelerate(table)
+        assert got[0] == table[0, -1]   # frozen before any even column
+        assert got[1] == table[1, -1]
+        assert got[2] == 1.0            # frozen after the exact e_2 column
+        assert abs(got[3] - math.log(2)) <= 1e-12
+
+    def test_leading_axes_are_independent_tables(self, rng):
+        stack = np.stack([_tables(rng), _tables(rng)])
+        got = epsilon_accelerate(stack)
+        assert got.shape == (2, 5)
+        assert _same_bits(got, _epsilon_reference(stack))
