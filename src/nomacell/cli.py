@@ -191,12 +191,13 @@ def load_config(path: str | Path, label: str | None = None) -> ExperimentConfig:
         window_radius=get("mc.window_radius", 5000.0),
         exclusion=get("mc.exclusion", "none"),
         epsilon=get("optimize.epsilon", 0.01),
-        inv1d=Inversion1DConfig(A=get("inv1d.a", 23.5),
-                                m_euler=get("inv1d.m_euler", 11),
-                                q=get("inv1d.q", 15)),
-        inv2d=Inversion2DConfig(L=get("inv2d.l", 80),
-                                p_eps=get("inv2d.p_eps", 8),
-                                e_r=get("inv2d.e_r", 1e-8)),
+        inv1d=Inversion1DConfig(A=get("inv1d.a", Inversion1DConfig.A),
+                                m_euler=get("inv1d.m_euler",
+                                            Inversion1DConfig.m_euler),
+                                q=get("inv1d.q", Inversion1DConfig.q)),
+        inv2d=Inversion2DConfig(L=get("inv2d.l", Inversion2DConfig.L),
+                                p_eps=get("inv2d.p_eps", Inversion2DConfig.p_eps),
+                                e_r=get("inv2d.e_r", Inversion2DConfig.e_r)),
         out=get("out", "results"),
         label=label or path.stem,
     )

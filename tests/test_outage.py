@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
-                      NetworkParams, PairConfig, effective_channel,
-                      exponential_covariance, far_outage_average,
+                      NetworkParams, PairConfig, build_scenario,
+                      effective_channel, exponential_covariance,
+                      far_outage_average,
                       far_outage_conditional, invert_1d, near_outage_average,
                       near_outage_conditional_approx, near_outage_conditional_exact,
                       outage_thresholds, sample_channel_matrix,
@@ -118,6 +119,27 @@ class TestFarOutage:
         hi = far_outage_conditional(link.eff_far, link.pair,
                                     replace(p0, P=p0.P / 100)).probability
         assert lo <= hi + 1e-9
+
+    @pytest.mark.parametrize("lambda_b", [1e-5, 1e-7, 0.0])
+    def test_high_euler_orders_match_reference_on_narrow_forms(self, lambda_b,
+                                                               table_pair):
+        # high channel quality and far rates give narrow quadratic forms,
+        # where the default m = 11, q = 15 misses the 1e-4 inversion budget
+        # by up to 3e-2; m = 20, q = 60 must meet it
+        params = replace(NetworkParams(), lambda_b=lambda_b)
+        orders = Inversion1DConfig(m_euler=20, q=60)
+        reference = Inversion1DConfig(A=28.0, m_euler=20, q=200)
+        for kdb in (17.0, 25.0, 32.0, 40.0):
+            for r in (0.9, 1.2, 1.5):
+                link = build_scenario(params, table_pair.with_rates(R_k=2 * r,
+                                                                    R_kt=r),
+                                      kappa=0.9, k_factor_db=kdb,
+                                      seed=20240717).link(1)
+                got = far_outage_conditional(link.eff_far, link.pair, params,
+                                             orders)
+                want = far_outage_conditional(link.eff_far, link.pair, params,
+                                              reference)
+                assert abs(got.raw - want.raw) <= 1e-4, (kdb, r)
 
     def test_point_mass_average_matches_conditional(self, table_scenario,
                                                     table_params):
