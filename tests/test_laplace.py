@@ -47,15 +47,17 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _tables(rng, n=17):
-    """Partial-sum rows that freeze at step 1, step 2, step 3, or never."""
+def _tables(rng, kind="real", n=17):
+    """Partial-sum rows that freeze at step 1, step 2, step 3, or never; the
+    complex rows scale the real ones exactly, keeping where they freeze."""
     terms = rng.integers(1, 1000, size=(5, n)).astype(float)
     terms[0, 4] = 0.0                        # repeated partial sum: step 1
     terms[1, 6] = terms[1, 5]                # equal first differences: step 2
     terms[2] = 0.5 ** np.arange(1, n + 1)    # e_2 exactly constant: step 3
     terms[3] = (-1.0) ** np.arange(n) / np.arange(1, n + 1)
     terms[4] = rng.normal(size=n)
-    return np.cumsum(terms, axis=1)
+    sums = np.cumsum(terms, axis=1)
+    return sums if kind == "real" else (1 + 0.5j) * sums
 
 
 class TestInvert1D:
@@ -239,16 +241,15 @@ class TestEpsilonAcceleration:
         assert type(val) is float and type(degraded) is bool
         assert np.ndim(epsilon_accelerate([1j, 1.5j, 1.75j])) == 0
 
-    def test_reference_freezes_the_intended_rows(self, rng):
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_reference_freezes_the_intended_rows(self, rng, kind):
         flags = [_epsilon_reference(row, return_diagnostics=True)[1]
-                 for row in _tables(rng)]
+                 for row in _tables(rng, kind)]
         assert flags == [True, True, True, False, False]
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_batched_rows_match_reference_bitwise(self, rng, kind):
-        table = _tables(rng)
-        if kind == "complex":
-            table = table + 1j * table[:, ::-1]
+        table = _tables(rng, kind)
         got, degraded = epsilon_accelerate(table, return_diagnostics=True)
         want, want_degraded = _epsilon_reference(table, return_diagnostics=True)
         assert _same_bits(got, want)
