@@ -10,16 +10,15 @@ from .design import (LinearDesign, PairLink, RateSolution, alignment_nullspace,
                      maximize_single_stream_goodput)
 from .geometry import (GroupingPolicy, distance_mixture, interference_coefficient,
                        ordered_distance_pdf, policy_laplace_factor,
-                       sample_ppp_interferers, sample_serving_distances,
-                       serving_distance_cdf, serving_distance_pdf)
+                       sample_serving_distances, serving_distance_cdf,
+                       serving_distance_pdf)
 from .laplace import (Inversion1DConfig, Inversion2DConfig, epsilon_accelerate,
                       invert_1d, invert_2d)
 from .model import (ChannelEstimate, NetworkParams, PairConfig, channel_k_factor,
                     error_variance_for_k_factor, exponential_covariance,
                     hermitian_sqrt, sample_channel_matrix, sample_error_matrix)
-from .montecarlo import (McEstimate, McOutageReport, TrialOutcome,
-                         estimate_goodput, estimate_near_outage_decorrelated,
-                         estimate_outage, sinr_triplet)
+from .montecarlo import (McEstimate, McOutageReport, estimate_goodput,
+                         estimate_near_outage_decorrelated, estimate_outage)
 from .outage import (EffectiveChannel, OutageReport, OutageResult,
                      OutageThresholds, effective_channel, far_outage_average,
                      far_outage_conditional, near_outage_average,

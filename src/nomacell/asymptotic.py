@@ -2,7 +2,9 @@
 
 Valid in the interference-free regime (lambda_b = 0): as the error variance
 shrinks, conditional outage drops to zero exactly when the target rates stay
-below per-realization thresholds.
+below per-realization thresholds.  The bounds use the stage model of
+`nomacell.outage`: one Chernoff term per decoding stage (scale, tau),
+summed over the stages (a union bound for the near user's two).
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkParams, PairConfig
-from .outage import EffectiveChannel, outage_thresholds
+from .outage import EffectiveChannel, _near_stages, _projected_mean, \
+    outage_thresholds
 
 __all__ = [
     "RateThresholds",
@@ -43,6 +46,25 @@ def _normalized_eigs(eff: EffectiveChannel) -> np.ndarray:
     return eff.delta / eff.sigma_h2
 
 
+def _chernoff(eff: EffectiveChannel, stream: int, stages, s: float) -> float:
+    """Sum over the stages of the Chernoff bound on each stage's failure.
+
+    `s` is the normalized exponent parameter, admissible on
+    (0, 1 / max_i upsilon_i).
+    """
+    ups = _normalized_eigs(eff)
+    s_sup = 1.0 / ups.max() if ups.max() > 0 else math.inf
+    if not 0.0 < s < s_sup:
+        raise ValueError(f"Chernoff parameter must lie in (0, {s_sup:.6g})")
+    log_pref = -np.sum(np.log1p(-s * ups))
+    total = 0.0
+    for scale, tau in stages:
+        margin = tau + np.sum(_projected_mean(eff, stream, scale)
+                              / (s * ups - 1.0))
+        total += np.exp(min(log_pref - s / eff.sigma_h2 * margin, 700.0))
+    return float(total)
+
+
 def chernoff_far_bound(eff: EffectiveChannel, pair: PairConfig,
                        params: NetworkParams, s_bar: float,
                        stream: int = 0) -> float:
@@ -51,43 +73,18 @@ def chernoff_far_bound(eff: EffectiveChannel, pair: PairConfig,
     `s_bar` is the normalized exponent parameter, admissible on
     (0, 1 / max_i upsilon_i).
     """
-    ups = _normalized_eigs(eff)
-    s_sup = 1.0 / ups.max() if ups.max() > 0 else math.inf
-    if not 0.0 < s_bar < s_sup:
-        raise ValueError(f"s_bar must lie in (0, {s_sup:.6g})")
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    nu = eff.mu.copy()
-    nu[stream] *= pair.beta_k2
-    zeta2 = np.abs(eff.Psi.conj().T @ nu) ** 2
-    margin = th.tau_kt + np.sum(zeta2 / (s_bar * ups - 1.0))
-    log_pref = -np.sum(np.log1p(-s_bar * ups))
-    expo = log_pref - s_bar / eff.sigma_h2 * margin
-    return float(np.exp(min(expo, 700.0)))
+    th = outage_thresholds(eff, pair, params, stream)
+    return _chernoff(eff, stream, ((pair.beta_k2, th.tau_kt),), s_bar)
 
 
 def chernoff_near_bound(eff: EffectiveChannel, pair: PairConfig,
                         params: NetworkParams, s_hat: float,
                         stream: int = 0) -> float:
     """Chernoff + union upper bound on the near-user conditional outage."""
-    ups = _normalized_eigs(eff)
-    s_sup = 1.0 / ups.max() if ups.max() > 0 else math.inf
-    if not 0.0 < s_hat < s_sup:
-        raise ValueError(f"s_hat must lie in (0, {s_sup:.6g})")
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    mu_k2 = abs(eff.mu[stream]) ** 2
-    nu1 = eff.mu.copy()
-    nu1[stream] *= pair.beta_k2
-    nu2 = eff.mu.copy()
-    nu2[stream] = 0.0
-    proj1 = np.abs(eff.Psi.conj().T @ nu1) ** 2
-    proj2 = np.abs(eff.Psi.conj().T @ nu2) ** 2
-    margin1 = (th.theta_kt - pair.beta_k2 * pair.beta_kt2 * mu_k2
-               + np.sum(proj1 / (s_hat * ups - 1.0)))
-    margin2 = th.theta_k + np.sum(proj2 / (s_hat * ups - 1.0))
-    log_pref = -np.sum(np.log1p(-s_hat * ups))
-    scale = s_hat / eff.sigma_h2
-    return float(np.exp(min(log_pref - scale * margin1, 700.0))
-                 + np.exp(min(log_pref - scale * margin2, 700.0)))
+    th = outage_thresholds(eff, pair, params, stream)
+    return _chernoff(eff, stream,
+                     _near_stages(eff, pair, stream, th.theta_kt, th.theta_k),
+                     s_hat)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10,
@@ -111,13 +108,12 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-10,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def optimize_chernoff_far(eff: EffectiveChannel, pair: PairConfig,
-                          params: NetworkParams,
-                          stream: int = 0) -> tuple[float, float]:
-    """Minimize the far-user Chernoff bound over its free parameter.
+def _optimize(bound, eff: EffectiveChannel, pair: PairConfig,
+              params: NetworkParams, stream: int) -> tuple[float, float]:
+    """Minimize a Chernoff bound over its free parameter.
 
-    Returns (bound, s_bar).  The admissible interval is searched with a
-    1e-6 relative boundary margin.
+    Returns (bound, s).  The admissible interval is searched with a 1e-6
+    relative boundary margin.
     """
     ups = _normalized_eigs(eff)
     if ups.max() <= 0:
@@ -125,22 +121,22 @@ def optimize_chernoff_far(eff: EffectiveChannel, pair: PairConfig,
     s_sup = 1.0 / ups.max()
     lo, hi = 1e-6 * s_sup, (1.0 - 1e-6) * s_sup
     s_best, val = _golden_min(
-        lambda s: chernoff_far_bound(eff, pair, params, s, stream), lo, hi)
+        lambda s: bound(eff, pair, params, s, stream), lo, hi)
     return val, s_best
+
+
+def optimize_chernoff_far(eff: EffectiveChannel, pair: PairConfig,
+                          params: NetworkParams,
+                          stream: int = 0) -> tuple[float, float]:
+    """Minimize the far-user Chernoff bound; returns (bound, s_bar)."""
+    return _optimize(chernoff_far_bound, eff, pair, params, stream)
 
 
 def optimize_chernoff_near(eff: EffectiveChannel, pair: PairConfig,
                            params: NetworkParams,
                            stream: int = 0) -> tuple[float, float]:
-    """Minimize the near-user Chernoff bound over its free parameter."""
-    ups = _normalized_eigs(eff)
-    if ups.max() <= 0:
-        raise ValueError("degenerate error covariance: no free parameter range")
-    s_sup = 1.0 / ups.max()
-    lo, hi = 1e-6 * s_sup, (1.0 - 1e-6) * s_sup
-    s_best, val = _golden_min(
-        lambda s: chernoff_near_bound(eff, pair, params, s, stream), lo, hi)
-    return val, s_best
+    """Minimize the near-user Chernoff bound; returns (bound, s_hat)."""
+    return _optimize(chernoff_near_bound, eff, pair, params, stream)
 
 
 def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,
@@ -157,19 +153,13 @@ def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,
     noise_near = eff_near.sigma_u2 / (params.P * params.path_loss(pair.d_k))
 
     mu_far2 = abs(eff_far.mu[stream]) ** 2
-    nu_far = eff_far.mu.copy()
-    nu_far[stream] *= b2
-    zeta2 = np.abs(eff_far.Psi.conj().T @ nu_far) ** 2
+    zeta2 = _projected_mean(eff_far, stream, b2)
     denom_far = zeta2.sum() + b2 * bt2 * mu_far2 + noise_far
     far = math.log2(1.0 + bt2 * mu_far2 / denom_far) if denom_far > 0 else math.inf
 
     mu_near2 = abs(eff_near.mu[stream]) ** 2
-    nu1 = eff_near.mu.copy()
-    nu1[stream] *= b2
-    nu2 = eff_near.mu.copy()
-    nu2[stream] = 0.0
-    proj1 = np.abs(eff_near.Psi.conj().T @ nu1) ** 2
-    proj2 = np.abs(eff_near.Psi.conj().T @ nu2) ** 2
+    proj1 = _projected_mean(eff_near, stream, b2)
+    proj2 = _projected_mean(eff_near, stream, 0.0)
     denom_sic = proj1.sum() + b2 * bt2 * mu_near2 + noise_near
     denom_own = proj2.sum() + noise_near
     near_sic = math.log2(1.0 + bt2 * mu_near2 / denom_sic) if denom_sic > 0 else math.inf

@@ -84,6 +84,11 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in ("random", "distance"):
                 raise ConfigError(f"unknown grouping policy {p!r}")
+        lambdas = (self.sweep_values if self.sweep_axis == "lambda_b"
+                   else (self.params.lambda_b,))
+        if self.mode == "average" and min(lambdas) <= 0:
+            raise ConfigError("mode = average needs lambda_b > 0: the "
+                              "serving-distance law has no base stations")
 
 
 def _dbm_to_watt(dbm: float) -> float:
@@ -91,7 +96,7 @@ def _dbm_to_watt(dbm: float) -> float:
 
 
 _KEYS = {
-    "network.lambda_b": float, "network.lambda_u": float, "network.alpha": float,
+    "network.lambda_b": float, "network.alpha": float,
     "network.p_dbm": float, "network.rho_i_dbm": float, "network.sigma2_dbm": float,
     "network.sigma2_zero": str, "network.m": int, "network.n": int,
     "network.pairs": int, "network.cell_constant": float,
@@ -138,7 +143,6 @@ def load_config(path: str | Path, label: str | None = None) -> ExperimentConfig:
     try:
         params = NetworkParams(
             lambda_b=get("network.lambda_b", 1e-5),
-            lambda_u=get("network.lambda_u", 2e-4),
             alpha=get("network.alpha", 3.5),
             P=_dbm_to_watt(get("network.p_dbm", 20.0)),
             rho_I=_dbm_to_watt(get("network.rho_i_dbm", 15.0)),
@@ -209,8 +213,10 @@ def preset_path(name: str) -> Path:
     return Path(str(resources.files("nomacell").joinpath(f"presets/{name}.cfg")))
 
 
-def _scenario_at(cfg: ExperimentConfig, axis_value: float):
-    """Materialize the scenario for one sweep point."""
+def _scenario_at(cfg: ExperimentConfig, axis_value: float,
+                 policy: str | None = None, scheme: str | None = None):
+    """Materialize the scenario for one sweep point (default: the first
+    grouping policy and the configured design)."""
     params, pair = cfg.params, cfg.pair
     kappa, kdb = cfg.kappa, cfg.k_factor_db
     if cfg.sweep_axis == "rate_far":
@@ -224,97 +230,86 @@ def _scenario_at(cfg: ExperimentConfig, axis_value: float):
     elif cfg.sweep_axis == "kappa":
         kappa = axis_value
     return build_scenario(params, pair, kappa=kappa, k_factor_db=kdb,
-                          seed=cfg.seed, policy=GroupingPolicy(cfg.policies[0]),
-                          scheme=cfg.scheme, h_norm2=cfg.h_norm2)
+                          seed=cfg.seed,
+                          policy=GroupingPolicy(policy or cfg.policies[0]),
+                          scheme=scheme or cfg.scheme, h_norm2=cfg.h_norm2)
 
 
 def _goodput(pair: PairConfig, p_near: float, p_far: float) -> float:
     return pair.R_k * (1.0 - p_near) + pair.R_kt * (1.0 - p_far)
 
 
+_OPTIMIZE_TAGS = ("optimize-proposed", "optimize-oma-precoded",
+                  "optimize-oma-plain", "optimize-noma-plain")
+
+
+def _method_tags(cfg: ExperimentConfig, method: str) -> tuple[str, ...]:
+    """The CSV tags one method writes at every sweep point, in order."""
+    if method == "optimize":
+        return _OPTIMIZE_TAGS
+    if method == "asymptotic" or cfg.mode == "conditional":
+        return (method,)
+    return tuple(f"{method}-{p}" for p in cfg.policies)
+
+
 def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
-    """Evaluate one (method, sweep point); yields (tag, OutageReport)."""
-    sc = _scenario_at(cfg, axis_value)
-    link = sc.link(1)
-    params = sc.params
-    if method in ("exact", "approx") and cfg.mode == "conditional":
-        pf = far_outage_conditional(link.eff_far, link.pair, params, cfg.inv1d)
-        if method == "exact":
-            pn = near_outage_conditional_exact(link.eff_near, link.pair, params,
-                                               cfg.inv2d)
-        else:
-            pn = near_outage_conditional_approx(link.eff_near, link.pair, params,
-                                                cfg.inv1d)
-        yield method, OutageReport(
-            pf.probability, pn.probability, method,
-            goodput=_goodput(link.pair, pn.probability, pf.probability))
-    elif method in ("exact", "approx") and cfg.mode == "average":
-        # `approx` on averages means the interference-limited closed forms.
-        il = method == "approx"
-        for policy_name in cfg.policies:
-            policy = GroupingPolicy(policy_name)
-            sc_p = build_scenario(params, link.pair, kappa=sc.kappa,
-                                  k_factor_db=cfg.k_factor_db
-                                  if cfg.sweep_axis != "k_factor_db" else axis_value,
-                                  seed=cfg.seed, policy=policy, scheme=cfg.scheme,
-                                  h_norm2=cfg.h_norm2)
-            lk = sc_p.link(1)
-            pf = far_outage_average(lk.eff_far, lk.pair, params, policy,
-                                    cfg.inv1d, interference_limited=il)
-            pn = near_outage_average(lk.eff_near, lk.pair, params, policy,
-                                     cfg.inv2d, interference_limited=il)
-            tag = f"{method}-{policy_name}"
-            yield tag, OutageReport(
-                pf.probability, pn.probability, tag,
-                goodput=_goodput(lk.pair, pn.probability, pf.probability))
-    elif method == "mc":
-        for policy_name in cfg.policies:
-            policy = GroupingPolicy(policy_name)
-            sc_p = build_scenario(params, link.pair, kappa=sc.kappa,
-                                  k_factor_db=cfg.k_factor_db
-                                  if cfg.sweep_axis != "k_factor_db" else axis_value,
-                                  seed=cfg.seed, policy=policy, scheme=cfg.scheme,
-                                  h_norm2=cfg.h_norm2)
-            mode = ("conditional" if cfg.mode == "conditional"
-                    else f"average-{policy_name}")
-            rep = estimate_outage(sc_p, mode, cfg.trials, cfg.seed,
-                                  window_radius=cfg.window_radius,
-                                  exclusion=cfg.exclusion)
-            tag = "mc" if cfg.mode == "conditional" else f"mc-{policy_name}"
-            yield tag, OutageReport(
-                rep.far.p_hat, rep.near.p_hat, tag,
-                goodput=_goodput(sc_p.pairs[0], rep.near.p_hat, rep.far.p_hat),
-                stderr_far=rep.far.stderr, stderr_near=rep.near.stderr)
-            if cfg.mode == "conditional":
-                break
-    elif method == "asymptotic":
-        bf, _ = optimize_chernoff_far(link.eff_far, link.pair, params)
-        bn, _ = optimize_chernoff_near(link.eff_near, link.pair, params)
-        yield method, OutageReport(min(bf, 1.0), min(bn, 1.0), method)
-    elif method == "optimize":
-        sc_plain = build_scenario(params, link.pair, kappa=sc.kappa,
-                                  k_factor_db=cfg.k_factor_db
-                                  if cfg.sweep_axis != "k_factor_db" else axis_value,
-                                  seed=cfg.seed, policy=sc.policy, scheme="plain",
-                                  h_norm2=cfg.h_norm2)
-        runs = (
-            ("optimize-proposed",
-             lambda: maximize_goodput(link, cfg.epsilon, params, cfg.inv1d)),
-            ("optimize-oma-precoded",
-             lambda: baseline_goodput("oma", link, cfg.epsilon, params, cfg.inv1d)),
-            ("optimize-oma-plain",
-             lambda: baseline_goodput("oma", sc_plain.link(1), cfg.epsilon,
-                                      params, cfg.inv1d)),
-            ("optimize-noma-plain",
-             lambda: baseline_goodput("noma", sc_plain.link(1), cfg.epsilon,
-                                      params, cfg.inv1d)),
-        )
-        for tag, fn in runs:
+    """Evaluate one (method, sweep point); yields (tag, OutageReport) for
+    each tag of `_method_tags`."""
+    tags = _method_tags(cfg, method)
+    if method == "optimize":
+        sc = _scenario_at(cfg, axis_value)
+        link, params = sc.link(1), sc.params
+        plain = _scenario_at(cfg, axis_value, scheme="plain").link(1)
+        eps, inv = cfg.epsilon, cfg.inv1d
+        runs = (lambda: maximize_goodput(link, eps, params, inv),
+                lambda: baseline_goodput("oma", link, eps, params, inv),
+                lambda: baseline_goodput("oma", plain, eps, params, inv),
+                lambda: baseline_goodput("noma", plain, eps, params, inv))
+        for tag, fn in zip(tags, runs):
             sol = fn()
             yield tag, OutageReport(sol.p_far, sol.p_near, tag,
                                     goodput=sol.goodput)
-    else:
-        raise ConfigError(f"method {method!r} incompatible with mode {cfg.mode!r}")
+        return
+    # one tag per grouping policy in average mode, else the first policy only
+    for tag, policy_name in zip(tags, cfg.policies):
+        sc = _scenario_at(cfg, axis_value, policy_name)
+        link, params = sc.link(1), sc.params
+        if method == "mc":
+            mode = ("conditional" if cfg.mode == "conditional"
+                    else f"average-{policy_name}")
+            rep = estimate_outage(sc, mode, cfg.trials, cfg.seed,
+                                  window_radius=cfg.window_radius,
+                                  exclusion=cfg.exclusion)
+            yield tag, OutageReport(
+                rep.far.p_hat, rep.near.p_hat, tag,
+                goodput=_goodput(link.pair, rep.near.p_hat, rep.far.p_hat),
+                stderr_far=rep.far.stderr, stderr_near=rep.near.stderr)
+            continue
+        if method == "asymptotic":
+            bf, _ = optimize_chernoff_far(link.eff_far, link.pair, params)
+            bn, _ = optimize_chernoff_near(link.eff_near, link.pair, params)
+            yield tag, OutageReport(min(bf, 1.0), min(bn, 1.0), tag)
+            continue
+        if cfg.mode == "conditional":
+            pf = far_outage_conditional(link.eff_far, link.pair, params,
+                                        cfg.inv1d)
+            if method == "exact":
+                pn = near_outage_conditional_exact(link.eff_near, link.pair,
+                                                   params, cfg.inv2d)
+            else:
+                pn = near_outage_conditional_approx(link.eff_near, link.pair,
+                                                    params, cfg.inv1d)
+        else:
+            # `approx` on averages means the interference-limited closed forms.
+            il = method == "approx"
+            pf = far_outage_average(link.eff_far, link.pair, params, sc.policy,
+                                    cfg.inv1d, interference_limited=il)
+            pn = near_outage_average(link.eff_near, link.pair, params,
+                                     sc.policy, cfg.inv2d,
+                                     interference_limited=il)
+        yield tag, OutageReport(
+            pf.probability, pn.probability, tag,
+            goodput=_goodput(link.pair, pn.probability, pf.probability))
 
 
 def _format(x) -> str:
@@ -334,14 +329,15 @@ def run(cfg: ExperimentConfig, deterministic: bool = False,
     for value in cfg.sweep_values:
         for method in cfg.methods:
             try:
-                for tag, report in _point_rows(cfg, method, value):
-                    tables.setdefault(tag, []).append((value, report))
+                rows = list(_point_rows(cfg, method, value))
             except Exception as exc:  # sweep continues; point reported
                 failures += 1
                 print(f"warning: {method} failed at {cfg.sweep_axis}={value}: {exc}",
                       file=stream)
-                tables.setdefault(method, []).append(
-                    (value, OutageReport(math.nan, math.nan, method)))
+                rows = [(tag, OutageReport(math.nan, math.nan, tag))
+                        for tag in _method_tags(cfg, method)]
+            for tag, report in rows:
+                tables.setdefault(tag, []).append((value, report))
     paths = []
     for tag, rows in sorted(tables.items()):
         path = out_dir / f"{cfg.label}_{tag}.csv"

@@ -1,5 +1,6 @@
-"""Stochastic-geometry layer: serving-distance laws, PPP interferers and the
-Laplace-functional machinery behind the grouping-policy averages."""
+"""Stochastic-geometry layer: serving-distance laws, the PPP interference
+coefficient and the Laplace-functional machinery behind the grouping-policy
+averages."""
 from __future__ import annotations
 
 import math
@@ -18,7 +19,6 @@ __all__ = [
     "ordered_distance_pdf",
     "sample_serving_distances",
     "interference_coefficient",
-    "sample_ppp_interferers",
     "distance_mixture",
     "policy_laplace_factor",
 ]
@@ -92,25 +92,6 @@ def interference_coefficient(u: np.ndarray, params: NetworkParams) -> float:
     overlap = abs(np.sum(np.conj(u))) ** 2
     return float(gamma(1.0 - 2.0 / params.alpha)
                  * (params.rho_I / params.P * overlap) ** (2.0 / params.alpha))
-
-
-def sample_ppp_interferers(params: NetworkParams, exclusion_radius: float,
-                           window_radius: float, rng: np.random.Generator,
-                           size: int | None = None):
-    """Sample interfering-BS distances to the origin in an annulus.
-
-    Poisson count with mean lambda_b * pi * (window^2 - exclusion^2), radii
-    distributed so positions are uniform over the annulus.  With `size`
-    given, returns a list of `size` arrays sharing one count draw batch.
-    """
-    if window_radius <= exclusion_radius or exclusion_radius < 0:
-        raise ValueError("need window_radius > exclusion_radius >= 0")
-    r0sq, r1sq = exclusion_radius ** 2, window_radius ** 2
-    mean = params.lambda_b * math.pi * (r1sq - r0sq)
-    counts = rng.poisson(mean, size=size)
-    if size is None:
-        return np.sqrt(rng.uniform(r0sq, r1sq, size=counts))
-    return [np.sqrt(rng.uniform(r0sq, r1sq, size=n)) for n in counts]
 
 
 def distance_mixture(rank: int, n_total: int) -> list[tuple[float, int]]:

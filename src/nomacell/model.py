@@ -35,7 +35,6 @@ class NetworkParams:
     """
 
     lambda_b: float = 1e-5      # BS intensity
-    lambda_u: float = 2e-4      # user intensity
     alpha: float = 3.5          # path-loss exponent, > 2
     P: float = 0.1              # per-stream transmit power (20 dBm)
     rho_I: float = 10 ** 1.5 / 1000.0   # interferer power (15 dBm)
@@ -52,7 +51,7 @@ class NetworkParams:
             raise ValueError(f"K={self.K} exceeds min(M, N)={min(self.M, self.N)}")
         if self.K > 2 * self.N:
             raise ValueError("K must not exceed 2N (alignment null space empty)")
-        for name in ("lambda_b", "lambda_u", "P", "rho_I", "sigma2"):
+        for name in ("lambda_b", "P", "rho_I", "sigma2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 

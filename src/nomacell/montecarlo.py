@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelEstimate, NetworkParams, PairConfig, sample_error_matrix
+from .geometry import sample_serving_distances
+from .model import NetworkParams, PairConfig, sample_error_matrix
 from .scenario import Scenario
 
 __all__ = [
-    "TrialOutcome",
     "McEstimate",
     "McOutageReport",
-    "sinr_triplet",
     "estimate_outage",
     "estimate_goodput",
     "estimate_near_outage_decorrelated",
@@ -29,31 +28,6 @@ _CHUNK = 2000
 # Cap on the expected interferer count per trial; beyond this the window is
 # shrunk (far-field truncation, relative bias < 1e-3 at alpha > 3).
 _MAX_MEAN_POINTS = 2000.0
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Decoding outcome of a single trial for one pair."""
-
-    success_far: bool
-    success_sic: bool
-    success_near: bool          # joint SIC-and-own event (counted outage event)
-    sinr_sic: float
-    sinr_near: float
-    sinr_far: float
-
-    @classmethod
-    def from_sinrs(cls, sinr_sic: float, sinr_near: float, sinr_far: float,
-                   pair: PairConfig) -> "TrialOutcome":
-        """Threshold comparison of the three decoding stages; the counted
-        near-user success requires cancelling the far message first."""
-        t_far = 2.0 ** pair.R_kt - 1.0
-        t_near = 2.0 ** pair.R_k - 1.0
-        ok_sic = sinr_sic >= t_far
-        return cls(success_far=sinr_far >= t_far,
-                   success_sic=ok_sic,
-                   success_near=ok_sic and sinr_near >= t_near,
-                   sinr_sic=sinr_sic, sinr_near=sinr_near, sinr_far=sinr_far)
 
 
 @dataclass(frozen=True)
@@ -108,50 +82,17 @@ def _sinr_pair(mu: np.ndarray, chi: np.ndarray, stream: int, beta_k2: float,
     return sinr_sic, sinr_own
 
 
-def sinr_triplet(V: np.ndarray, u_near: np.ndarray, u_far: np.ndarray,
-                 est_near: ChannelEstimate, est_far: ChannelEstimate,
-                 pair: PairConfig, E_near: np.ndarray, E_far: np.ndarray,
-                 dist_near: np.ndarray, dist_far: np.ndarray,
-                 params: NetworkParams, stream: int = 0,
-                 d_k: float | None = None, d_kt: float | None = None
-                 ) -> tuple[float, float, float]:
-    """The three decoding SINRs for one explicit error/interferer draw.
-
-    Returns (SINR_sic, SINR_near, SINR_far).  `dist_*` are the interferer
-    distances seen by each user (the same BS set feeds both).
-    """
-    d_k = pair.d_k if d_k is None else d_k
-    d_kt = pair.d_kt if d_kt is None else d_kt
-    mu_n = u_near.conj() @ est_near.H_hat @ V
-    chi_n = u_near.conj() @ E_near @ V
-    mu_f = u_far.conj() @ est_far.H_hat @ V
-    chi_f = u_far.conj() @ E_far @ V
-    I_n = params.rho_I * abs(np.sum(u_near.conj())) ** 2 * np.sum(
-        np.asarray(dist_near, dtype=float) ** (-params.alpha))
-    I_f = params.rho_I * abs(np.sum(u_far.conj())) ** 2 * np.sum(
-        np.asarray(dist_far, dtype=float) ** (-params.alpha))
-    noise_n = params.sigma2 * float(np.linalg.norm(u_near) ** 2)
-    noise_f = params.sigma2 * float(np.linalg.norm(u_far) ** 2)
-    sinr_sic, sinr_own = _sinr_pair(mu_n, chi_n, stream, pair.beta_k2,
-                                    params.P * d_k ** (-params.alpha), I_n,
-                                    noise_n)
-    sinr_far, _ = _sinr_pair(mu_f, chi_f, stream, pair.beta_k2,
-                             params.P * d_kt ** (-params.alpha), I_f, noise_f)
-    return float(sinr_sic), float(sinr_own), float(sinr_far)
-
-
 def _draw_distances(mode: str, pair: PairConfig, params: NetworkParams,
                     rng: np.random.Generator, n: int):
     if mode == "conditional":
         return pair.d_k, pair.d_kt
-    rate = params.c * params.lambda_b * math.pi
-    if rate <= 0:
+    if params.lambda_b <= 0:
         raise ValueError("distance averaging requires lambda_b > 0")
     if mode == "average-random":
-        d = np.sqrt(-np.log1p(-rng.random((n, 2))) / rate)
+        d = sample_serving_distances(params, rng, (n, 2))
         return d.min(axis=1), d.max(axis=1)
     if mode == "average-distance":
-        d = np.sqrt(-np.log1p(-rng.random((n, 2 * params.K))) / rate)
+        d = sample_serving_distances(params, rng, (n, 2 * params.K))
         d.sort(axis=1)
         return d[:, pair.r_k - 1], d[:, pair.r_kt - 1]
     raise ValueError(f"unknown mode {mode!r}")

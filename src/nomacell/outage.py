@@ -1,9 +1,17 @@
 """Outage probability assembly.
 
 Reduces a (channel estimate, precoder, filter) triple to the effective
-post-filter quantities, then evaluates far-user outage by 1D inversion and
-near-user outage (joint SIC success) by 2D inversion, conditionally on the
-link distances or averaged over a grouping policy's distance law.
+post-filter quantities and evaluates outage as a chain of decoding stages.
+A stage (scale, tau) succeeds when the noncentral Gaussian quadratic form
+of the estimation error around the mean vector mu, with entry `stream`
+multiplied by `scale`, plus the interference stays at most tau.  Far-user
+and single-stream outage have one stage; near-user outage has two, the
+SIC stage (cancel the far message) and the own-message stage.  Every
+stage sits under one interference factor phi: the conditional PPP Laplace
+functional at a fixed link distance, or its average over a grouping
+policy's distance law.  `_outage` inverts the stages one at a time (their
+product is the stage-independence approximation for the near user);
+`_near_joint` inverts the exact joint SIC event in 2D.
 """
 from __future__ import annotations
 
@@ -37,14 +45,13 @@ __all__ = [
 class EffectiveChannel:
     """Post-filter view of one user's link.
 
-    `mu[i] = u^H H_hat v_i` are the known effective gains, `Sigma` the
-    covariance of the filtered error vector u^H E V with eigensystem
-    (delta, Psi) sorted by descending eigenvalue, `omega` the interference
-    coefficient of the filter and `sigma_u2` the filtered noise power.
+    `mu[i] = u^H H_hat v_i` are the known effective gains, (delta, Psi) the
+    eigensystem of the covariance of the filtered error vector u^H E V,
+    sorted by descending eigenvalue, `omega` the interference coefficient
+    of the filter and `sigma_u2` the filtered noise power.
     """
 
     mu: np.ndarray
-    Sigma: np.ndarray
     delta: np.ndarray
     Psi: np.ndarray
     omega: float
@@ -113,7 +120,6 @@ def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
     Psi = Psi[:, ::-1]
     return EffectiveChannel(
         mu=mu,
-        Sigma=Sigma,
         delta=delta,
         Psi=Psi,
         omega=interference_coefficient(u, params),
@@ -127,18 +133,21 @@ def _inv_snr_gap(rate: float) -> float:
     return 1.0 / (2.0 ** rate - 1.0) if rate > 0.0 else math.inf
 
 
-def outage_thresholds(eff_near: EffectiveChannel, eff_far: EffectiveChannel,
-                      pair: PairConfig, params: NetworkParams,
+def outage_thresholds(eff: EffectiveChannel, pair: PairConfig,
+                      params: NetworkParams,
                       stream: int = 0) -> OutageThresholds:
-    """All inversion abscissae of one pair (stream index 0-based)."""
+    """All inversion abscissae of one pair through one user's channel.
+
+    Read the far-user fields with the far user's `eff` and the near-user
+    fields with the near user's (stream index 0-based).
+    """
     b2, bt2 = pair.beta_k2, pair.beta_kt2
-    mu_far2 = abs(eff_far.mu[stream]) ** 2
-    mu_near2 = abs(eff_near.mu[stream]) ** 2
-    tau_bar = (_inv_snr_gap(pair.R_kt) - b2) * bt2 * mu_far2
-    th_k_bar = mu_near2 * b2 * _inv_snr_gap(pair.R_k)
-    th_kt_bar = mu_near2 * bt2 * _inv_snr_gap(pair.R_kt)
-    noise_far = eff_far.sigma_u2 / (params.P * params.path_loss(pair.d_kt))
-    noise_near = eff_near.sigma_u2 / (params.P * params.path_loss(pair.d_k))
+    mu2 = abs(eff.mu[stream]) ** 2
+    tau_bar = (_inv_snr_gap(pair.R_kt) - b2) * bt2 * mu2
+    th_k_bar = mu2 * b2 * _inv_snr_gap(pair.R_k)
+    th_kt_bar = mu2 * bt2 * _inv_snr_gap(pair.R_kt)
+    noise_far = eff.sigma_u2 / (params.P * params.path_loss(pair.d_kt))
+    noise_near = eff.sigma_u2 / (params.P * params.path_loss(pair.d_k))
     return OutageThresholds(
         tau_kt=tau_bar - noise_far,
         theta_k=th_k_bar - noise_near,
@@ -147,6 +156,25 @@ def outage_thresholds(eff_near: EffectiveChannel, eff_far: EffectiveChannel,
         theta_k_bar=th_k_bar,
         theta_kt_bar=th_kt_bar,
     )
+
+
+def _projected_mean(eff: EffectiveChannel, stream: int,
+                    scale: float) -> np.ndarray:
+    """|Psi^H nu|^2 for nu = mu with entry `stream` multiplied by `scale`."""
+    nu = eff.mu.copy()
+    nu[stream] = scale * nu[stream]
+    return np.abs(eff.Psi.conj().T @ nu) ** 2
+
+
+def _near_stages(eff: EffectiveChannel, pair: PairConfig, stream: int,
+                 theta_sic: float, theta_own: float):
+    """(scale, tau) of the near user's SIC and own-message stages.
+
+    The SIC stage keeps the near message as interference: its own-stream
+    power beta_k2 beta_kt2 |mu_k|^2 moves from the form to the threshold.
+    """
+    shift = pair.beta_k2 * pair.beta_kt2 * abs(eff.mu[stream]) ** 2
+    return (pair.beta_k2, theta_sic - shift), (0.0, theta_own)
 
 
 def _quadform_transform_1d(zeta2: np.ndarray, delta: np.ndarray, phi_fn):
@@ -166,12 +194,6 @@ def _quadform_transform_1d(zeta2: np.ndarray, delta: np.ndarray, phi_fn):
     return F
 
 
-def _scaled_vector(mu: np.ndarray, stream: int, scale: float) -> np.ndarray:
-    nu = mu.copy()
-    nu[stream] = scale * nu[stream]
-    return nu
-
-
 def _concentration_margin(zeta2: np.ndarray, delta: np.ndarray, tau: float):
     """Threshold margin of the quadratic form in units of its spread.
 
@@ -189,16 +211,6 @@ def _concentration_margin(zeta2: np.ndarray, delta: np.ndarray, tau: float):
     return None
 
 
-def _success_1d(eff: EffectiveChannel, nu: np.ndarray, tau: float, phi_fn,
-                cfg: Inversion1DConfig, phi_trivial: bool = False) -> float:
-    zeta2 = np.abs(eff.Psi.conj().T @ nu) ** 2
-    if phi_trivial:
-        certain = _concentration_margin(zeta2, eff.delta, tau)
-        if certain is not None:
-            return certain
-    return invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi_fn), tau, cfg)
-
-
 def _interference_phi(omega: float, d: float, params: NetworkParams):
     """Interference factor of the conditional transforms; the second return
     marks an interference-free network (constant factor 1)."""
@@ -211,24 +223,42 @@ def _clamp(raw: float, method: str, flag: str | None = None) -> OutageResult:
     return OutageResult(min(max(raw, 0.0), 1.0), raw, method, flag)
 
 
+def _outage(eff: EffectiveChannel, stream: int, stages, phi, trivial: bool,
+            cfg: Inversion1DConfig | None, method: str) -> OutageResult:
+    """Outage of independent stages: 1 - prod of the stage successes.
+
+    A nonpositive threshold makes outage certain (flagged); an infinite
+    one (zero rate) makes its stage succeed.  With `trivial` (no
+    interference) a stage whose threshold sits far outside the form's
+    spread band is decided without inversion.
+    """
+    if any(tau <= 0.0 for _, tau in stages):
+        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+    q = 1.0
+    for scale, tau in stages:
+        if tau == math.inf:
+            continue
+        zeta2 = _projected_mean(eff, stream, scale)
+        q_stage = _concentration_margin(zeta2, eff.delta, tau) if trivial else None
+        if q_stage is None:
+            q_stage = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi),
+                                tau, cfg)
+        q *= q_stage
+    return _clamp(1.0 - q, method)
+
+
 def far_outage_conditional(eff: EffectiveChannel, pair: PairConfig,
                            params: NetworkParams,
                            cfg: Inversion1DConfig | None = None,
                            stream: int = 0) -> OutageResult:
     """Far-user outage given the channel state and link distance."""
-    cfg = cfg or Inversion1DConfig()
     method = "far-exact-conditional"
     if not pair.feasible:
         return OutageResult(1.0, 1.0, method, "infeasible_rate_split")
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    if math.isinf(th.tau_kt):
-        return OutageResult(0.0, 0.0, method)
-    if th.tau_kt <= 0.0:
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
-    nu = _scaled_vector(eff.mu, stream, pair.beta_k2)
+    th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_kt, params)
-    q = _success_1d(eff, nu, th.tau_kt, phi, cfg, phi_trivial=trivial)
-    return _clamp(1.0 - q, method)
+    return _outage(eff, stream, ((pair.beta_k2, th.tau_kt),), phi, trivial,
+                   cfg, method)
 
 
 def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -237,28 +267,21 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
                        stream: int = 0,
                        interference_limited: bool = False) -> OutageResult:
     """Far-user outage averaged over the policy's serving-distance law."""
-    cfg = cfg or Inversion1DConfig()
     method = f"far-average-{policy.variant}"
     if not pair.feasible:
         return OutageResult(1.0, 1.0, method, "infeasible_rate_split")
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    if math.isinf(th.tau_kt_bar):
-        return OutageResult(0.0, 0.0, method)
-    if th.tau_kt_bar <= 0.0:
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+    th = outage_thresholds(eff, pair, params, stream)
     rank = pair.r_kt if policy.variant == "distance" else 2
     mixture = distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
 
     def phi(s):
         s = np.atleast_1d(np.asarray(s, dtype=complex))
-        out = np.array([policy_laplace_factor(si, mixture, eff.omega,
-                                              sigma_u2, params) for si in s])
-        return out
+        return np.array([policy_laplace_factor(si, mixture, eff.omega,
+                                               sigma_u2, params) for si in s])
 
-    nu = _scaled_vector(eff.mu, stream, pair.beta_k2)
-    q = _success_1d(eff, nu, th.tau_kt_bar, phi, cfg)
-    return _clamp(1.0 - q, method)
+    return _outage(eff, stream, ((pair.beta_k2, th.tau_kt_bar),), phi, False,
+                   cfg, method)
 
 
 def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, stream: int,
@@ -313,51 +336,32 @@ def _phi_on_unique(fn):
     return apply
 
 
-def _near_marginal_if_trivial(eff: EffectiveChannel, pair: PairConfig,
-                              params: NetworkParams, theta_sic: float,
-                              theta_own: float, phi_fn, method: str,
-                              stream: int,
-                              cfg1d: Inversion1DConfig | None = None,
-                              phi_trivial: bool = False):
-    """Reduce the joint event to a 1D marginal when a zero rate makes one
-    stage certain; returns None when both constraints are active."""
-    sic_trivial = math.isinf(theta_sic)
-    own_trivial = math.isinf(theta_own)
-    if not sic_trivial and not own_trivial:
-        return None
-    cfg1d = cfg1d or Inversion1DConfig()
-    if sic_trivial and own_trivial:
-        return OutageResult(0.0, 0.0, method)
-    if sic_trivial:
-        nu = _scaled_vector(eff.mu, stream, 0.0)
-        q = _success_1d(eff, nu, theta_own, phi_fn, cfg1d,
-                        phi_trivial=phi_trivial)
-    else:
-        nu = _scaled_vector(eff.mu, stream, pair.beta_k2)
-        shift = pair.beta_k2 * pair.beta_kt2 * abs(eff.mu[stream]) ** 2
-        tau = theta_sic - shift
-        if tau <= 0.0:
-            return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
-        q = _success_1d(eff, nu, tau, phi_fn, cfg1d, phi_trivial=phi_trivial)
-    return _clamp(1.0 - q, method)
+def _near_joint(eff: EffectiveChannel, pair: PairConfig, stream: int,
+                theta_sic: float, theta_own: float, phi, trivial: bool,
+                cfg: Inversion2DConfig | None, method: str) -> OutageResult:
+    """Outage of the joint (SIC, own-message) success event.
 
-
-def _near_joint_concentration(eff: EffectiveChannel, pair: PairConfig,
-                              stream: int, theta_sic: float, theta_own: float):
-    """Deterministic outcome of the joint event when both quadratic forms sit
-    far outside their spread bands (interference-free networks only)."""
-    shift = pair.beta_k2 * pair.beta_kt2 * abs(eff.mu[stream]) ** 2
-    nu1 = _scaled_vector(eff.mu, stream, pair.beta_k2)
-    nu2 = _scaled_vector(eff.mu, stream, 0.0)
-    z1 = np.abs(eff.Psi.conj().T @ nu1) ** 2
-    z2 = np.abs(eff.Psi.conj().T @ nu2) ** 2
-    c1 = _concentration_margin(z1, eff.delta, theta_sic - shift)
-    c2 = _concentration_margin(z2, eff.delta, theta_own)
-    if c1 == 0.0 or c2 == 0.0:
-        return 1.0
-    if c1 == 1.0 and c2 == 1.0:
-        return 0.0
-    return None
+    A zero rate makes one stage certain and reduces the event to the other
+    stage's 1D marginal; without interference, forms far outside their
+    spread bands decide the event without inversion.
+    """
+    if theta_sic <= 0.0 or theta_own <= 0.0:
+        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+    stages = _near_stages(eff, pair, stream, theta_sic, theta_own)
+    if math.inf in (theta_sic, theta_own):
+        return _outage(eff, stream, stages, phi, trivial, None, method)
+    if trivial:
+        certain = [_concentration_margin(_projected_mean(eff, stream, scale),
+                                         eff.delta, tau)
+                   for scale, tau in stages]
+        if 0.0 in certain:
+            return OutageResult(1.0, 1.0, method)
+        if certain == [1.0, 1.0]:
+            return OutageResult(0.0, 0.0, method)
+    F = _near_joint_transform(eff, pair, stream, phi)
+    q, info = invert_2d(F, theta_sic, theta_own, cfg, full_output=True)
+    flag = "epsilon_degraded" if info["epsilon_degraded"] else None
+    return _clamp(1.0 - q, method, flag)
 
 
 def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
@@ -365,26 +369,10 @@ def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
                                   cfg: Inversion2DConfig | None = None,
                                   stream: int = 0) -> OutageResult:
     """Near-user outage of the joint (SIC, own-message) success event."""
-    cfg = cfg or Inversion2DConfig()
-    method = "near-exact-conditional"
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    if th.theta_k <= 0.0 or th.theta_kt <= 0.0:
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+    th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    reduced = _near_marginal_if_trivial(eff, pair, params, th.theta_kt,
-                                        th.theta_k, phi, method, stream,
-                                        phi_trivial=trivial)
-    if reduced is not None:
-        return reduced
-    if trivial:
-        certain = _near_joint_concentration(eff, pair, stream, th.theta_kt,
-                                            th.theta_k)
-        if certain is not None:
-            return OutageResult(certain, certain, method)
-    F = _near_joint_transform(eff, pair, stream, phi)
-    q, info = invert_2d(F, th.theta_kt, th.theta_k, cfg, full_output=True)
-    flag = "epsilon_degraded" if info["epsilon_degraded"] else None
-    return _clamp(1.0 - q, method, flag)
+    return _near_joint(eff, pair, stream, th.theta_kt, th.theta_k, phi, trivial,
+                       cfg, "near-exact-conditional")
 
 
 def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
@@ -396,26 +384,13 @@ def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
     Upper-bounds the exact probability; each stage is a 1D inversion with
     the appropriately substituted mean vector and threshold.
     """
-    cfg = cfg or Inversion1DConfig()
     method = "near-approx-conditional"
     if not pair.feasible:
         return OutageResult(1.0, 1.0, method, "infeasible_rate_split")
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    mu_k2 = abs(eff.mu[stream]) ** 2
-    tau_sic = th.theta_kt - pair.beta_k2 * pair.beta_kt2 * mu_k2
+    th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    q_sic = q_own = 0.0
-    if math.isinf(tau_sic):
-        q_sic = 1.0
-    elif tau_sic > 0.0:
-        nu1 = _scaled_vector(eff.mu, stream, pair.beta_k2)
-        q_sic = _success_1d(eff, nu1, tau_sic, phi, cfg, phi_trivial=trivial)
-    if math.isinf(th.theta_k):
-        q_own = 1.0
-    elif th.theta_k > 0.0:
-        nu2 = _scaled_vector(eff.mu, stream, 0.0)
-        q_own = _success_1d(eff, nu2, th.theta_k, phi, cfg, phi_trivial=trivial)
-    return _clamp(1.0 - q_sic * q_own, method)
+    stages = _near_stages(eff, pair, stream, th.theta_kt, th.theta_k)
+    return _outage(eff, stream, stages, phi, trivial, cfg, method)
 
 
 def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
@@ -428,19 +403,13 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
     so only the estimation error on the own stream and the other pairs'
     streams interfere.
     """
-    cfg = cfg or Inversion1DConfig()
-    method = "single-stream-conditional"
-    if rate <= 0.0:
-        return OutageResult(0.0, 0.0, method)
-    mu_k2 = abs(eff.mu[stream]) ** 2
-    noise = eff.sigma_u2 / (params.P * params.path_loss(d))
-    theta = mu_k2 / (2.0 ** rate - 1.0) - noise
-    if theta <= 0.0:
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
-    nu = _scaled_vector(eff.mu, stream, 0.0)
+    theta = math.inf
+    if rate > 0.0:
+        noise = eff.sigma_u2 / (params.P * params.path_loss(d))
+        theta = abs(eff.mu[stream]) ** 2 / (2.0 ** rate - 1.0) - noise
     phi, trivial = _interference_phi(eff.omega, d, params)
-    q = _success_1d(eff, nu, theta, phi, cfg, phi_trivial=trivial)
-    return _clamp(1.0 - q, method)
+    return _outage(eff, stream, ((0.0, theta),), phi, trivial, cfg,
+                   "single-stream-conditional")
 
 
 def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -449,24 +418,14 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
                         stream: int = 0,
                         interference_limited: bool = False) -> OutageResult:
     """Near-user outage averaged over the policy's serving-distance law."""
-    cfg = cfg or Inversion2DConfig()
-    method = f"near-average-{policy.variant}"
-    th = outage_thresholds(eff, eff, pair, params, stream)
-    if th.theta_k_bar <= 0.0 or th.theta_kt_bar <= 0.0:
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+    th = outage_thresholds(eff, pair, params, stream)
     rank = pair.r_k if policy.variant == "distance" else 1
     mixture = distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
     phi = _phi_on_unique(
         lambda u: policy_laplace_factor(u, mixture, eff.omega, sigma_u2, params))
-    reduced = _near_marginal_if_trivial(eff, pair, params, th.theta_kt_bar,
-                                        th.theta_k_bar, phi, method, stream)
-    if reduced is not None:
-        return reduced
-    F = _near_joint_transform(eff, pair, stream, phi)
     # Tie the sampling periods so the distance functional is evaluated
     # once per anti-diagonal instead of once per grid node.
-    cfg = replace(cfg, square_period=True)
-    q, info = invert_2d(F, th.theta_kt_bar, th.theta_k_bar, cfg, full_output=True)
-    flag = "epsilon_degraded" if info["epsilon_degraded"] else None
-    return _clamp(1.0 - q, method, flag)
+    cfg = replace(cfg or Inversion2DConfig(), square_period=True)
+    return _near_joint(eff, pair, stream, th.theta_kt_bar, th.theta_k_bar, phi,
+                       False, cfg, f"near-average-{policy.variant}")

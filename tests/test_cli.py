@@ -1,5 +1,6 @@
 import pytest
 
+from nomacell import cli
 from nomacell.cli import (ConfigError, PRESETS, load_config, main,
                           preset_path, run, validate)
 
@@ -85,20 +86,52 @@ class TestRun:
         (path,) = run(cfg, deterministic=True)
         assert path.read_text().startswith("sweep_value,")
 
-    def test_numerical_failure_does_not_abort(self, tmp_path, capsys):
-        # an interference-free average sweep cannot draw distances; the
-        # sweep must finish and mark the rows
-        text = """
-mode = average
-network.lambda_b = 0
-sweep.axis = rate_far
-sweep.values = 0.5
-methods = exact
-"""
-        cfg = load_config(_write(tmp_path, text + f"out = {tmp_path}/d\n"))
-        paths = run(cfg)
-        joined = "".join(p.read_text() for p in paths)
-        assert "nan" in joined
+    @staticmethod
+    def _fail_at(monkeypatch, name, rate):
+        """Make one outage operator raise at far rate `rate`."""
+        real = getattr(cli, name)
+
+        def flaky(eff, pair, *args, **kwargs):
+            if pair.R_kt == rate:
+                raise FloatingPointError("transform returned non-finite values")
+            return real(eff, pair, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, flaky)
+
+    def test_numerical_failure_does_not_abort(self, tmp_path, monkeypatch):
+        # a point whose inversion fails is reported; the sweep finishes and
+        # marks that row
+        self._fail_at(monkeypatch, "far_outage_conditional", 0.5)
+        cfg = load_config(_write(tmp_path, GOOD + f"out = {tmp_path}/d\n"))
+        (path,) = run(cfg, deterministic=True)
+        rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0.5", "1"]
+        assert rows[0][1:3] == ["nan", "nan"]
+        assert "nan" not in rows[1]
+
+    def test_failed_point_keeps_every_tag_aligned(self, tmp_path, monkeypatch):
+        # each tag a method writes gets the failed point's NaN row, so every
+        # CSV keeps one row per sweep value and no stray tag appears
+        self._fail_at(monkeypatch, "far_outage_average", 1.0)
+        text = ("mode = average\ngrouping = both\nsweep.values = 0.5, 1.0\n"
+                f"methods = approx\nout = {tmp_path}/e\n")
+        paths = run(load_config(_write(tmp_path, text)), deterministic=True)
+        assert sorted(p.name for p in paths) == ["exp_approx-distance.csv",
+                                                 "exp_approx-random.csv"]
+        for p in paths:
+            rows = [r.split(",") for r in p.read_text().splitlines()[1:]]
+            tag = p.stem.split("_", 1)[1]
+            assert [r[0] for r in rows] == ["0.5", "1"]
+            assert rows[1][1:3] == ["nan", "nan"] and rows[1][6] == tag
+            assert "nan" not in rows[0]
+
+    @pytest.mark.parametrize("lines", [
+        "network.lambda_b = 0\n",
+        "sweep.axis = lambda_b\nsweep.values = 0, 1e-5\n",
+    ])
+    def test_average_mode_needs_base_stations(self, tmp_path, lines):
+        with pytest.raises(ConfigError, match="lambda_b > 0"):
+            load_config(_write(tmp_path, "mode = average\n" + lines))
 
 
 class TestMain:

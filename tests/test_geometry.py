@@ -8,9 +8,9 @@ from scipy.stats import kstest
 
 from nomacell import (GroupingPolicy, NetworkParams, distance_mixture,
                       interference_coefficient, ordered_distance_pdf,
-                      policy_laplace_factor, sample_ppp_interferers,
-                      sample_serving_distances, serving_distance_cdf,
-                      serving_distance_pdf)
+                      policy_laplace_factor, sample_serving_distances,
+                      serving_distance_cdf, serving_distance_pdf)
+from nomacell.montecarlo import _MAX_MEAN_POINTS, _interference
 
 # 1% two-sided Kolmogorov-Smirnov critical value factor
 KS_1PC = 1.628
@@ -150,30 +150,49 @@ class TestInterferenceCoefficient:
 
 
 class TestPPPSampler:
+    """The simulator's interferer field, `montecarlo._interference`."""
+
     def test_zero_intensity(self, rng):
         params = NetworkParams(lambda_b=0.0)
-        assert len(sample_ppp_interferers(params, 0.0, 5000.0, rng)) == 0
+        near, far = _interference(rng, params, 50, 50.0, 125.0, 5000.0, "none")
+        assert not near.any() and not far.any()
 
     def test_mean_count(self, table_params, rng):
-        counts = [len(sample_ppp_interferers(table_params, 100.0, 2000.0, rng))
-                  for _ in range(10_000)]
-        mean = table_params.lambda_b * math.pi * (2000.0 ** 2 - 100.0 ** 2)
-        stderr = math.sqrt(mean / len(counts))
-        assert abs(np.mean(counts) - mean) <= 3.5 * stderr
+        # Poisson BS count in the window, whose radius is capped so a trial
+        # expects at most _MAX_MEAN_POINTS interferers
+        drawn = []
+
+        class Recording:
+            def poisson(self, lam, size):
+                drawn.append(rng.poisson(lam, size))
+                return drawn[-1]
+
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+        for params, W, n, mean in (
+                (table_params, 1000.0, 10_000,
+                 table_params.lambda_b * math.pi * 1000.0 ** 2),
+                (NetworkParams(lambda_b=1e-3), 5000.0, 200, _MAX_MEAN_POINTS)):
+            _interference(Recording(), params, n, 50.0, 125.0, W, "none")
+            assert abs(np.mean(drawn[-1]) - mean) <= 3.5 * math.sqrt(mean / n)
 
     def test_campbell_formula(self, table_params, rng):
-        # empirical E[sum d^-alpha] vs the quadrature of the intensity measure
-        r0, W = 50.0, 3000.0
-        sums = [np.sum(sample_ppp_interferers(table_params, r0, W, rng)
-                       ** -table_params.alpha) for _ in range(10_000)]
-        want, _ = quad(lambda r: table_params.lambda_b * 2 * math.pi *
-                       r ** (1.0 - table_params.alpha), r0, W)
-        stderr = np.std(sums) / math.sqrt(len(sums))
-        assert abs(np.mean(sums) - want) <= 3.5 * stderr
+        # empirical E[sum d^-alpha] over the BSs outside each user's serving
+        # distance d vs the intensity-measure integral over the window
+        # minus that exclusion disk (user at distance d from the centre)
+        W, n, alpha = 1500.0, 10_000, table_params.alpha
+        sums = _interference(rng, table_params, n, 50.0, 125.0, W, "serving")
+        for d, s in zip((50.0, 125.0), sums):
+            def arc(r):  # angle of the radius-r circle around the user in the window
+                c = (W * W - d * d - r * r) / (2 * d * r)
+                return 2 * math.pi - 2 * math.acos(min(max(c, -1.0), 1.0))
 
-    def test_rejects_bad_annulus(self, table_params, rng):
-        with pytest.raises(ValueError):
-            sample_ppp_interferers(table_params, 100.0, 50.0, rng)
+            want, _ = quad(lambda r: table_params.lambda_b * arc(r)
+                           * r ** (1.0 - alpha), d, W + d, points=[W - d],
+                           limit=200)
+            stderr = np.std(s) / math.sqrt(n)
+            assert abs(np.mean(s) - want) <= 3.5 * stderr
 
 
 class TestPolicyFactor:

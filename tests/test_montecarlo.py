@@ -6,8 +6,8 @@ import pytest
 
 from nomacell import (NetworkParams, PairConfig, build_scenario,
                       estimate_goodput, estimate_near_outage_decorrelated,
-                      estimate_outage, near_outage_conditional_approx,
-                      sinr_triplet)
+                      estimate_outage, near_outage_conditional_approx)
+from nomacell.montecarlo import _chunk_counts, _sinr_pair
 
 
 def _hand_sinrs(V, u_n, u_f, Hn_hat, Hf_hat, E_n, E_f, pair, dists, params):
@@ -39,6 +39,20 @@ def _hand_sinrs(V, u_n, u_f, Hn_hat, Hf_hat, E_n, E_f, pair, dists, params):
     return sic, own, far
 
 
+def _sinrs(sc, params, E_n, E_f, dists):
+    """(SIC, own, far) SINRs of pair 1 through `_sinr_pair` for one draw."""
+    V, (u_n, u_f) = sc.design.V, (sc.design.u_near[0], sc.design.u_far[0])
+    pair, out = sc.pairs[0], []
+    for u, est, E, d in ((u_n, sc.ests_near[0], E_n, pair.d_k),
+                         (u_f, sc.ests_far[0], E_f, pair.d_kt)):
+        I_u = params.rho_I * abs(np.sum(u.conj())) ** 2 * np.sum(
+            np.asarray(dists, dtype=float) ** -params.alpha)
+        out.append(_sinr_pair(u.conj() @ est.H_hat @ V, u.conj() @ E @ V, 0,
+                              pair.beta_k2, params.P * d ** -params.alpha,
+                              I_u, params.sigma2 * np.linalg.norm(u) ** 2))
+    return float(out[0][0]), float(out[0][1]), float(out[1][0])
+
+
 class TestSinrTriplet:
     def test_matches_hand_composition(self, table_scenario, table_params, rng):
         sc = table_scenario
@@ -46,9 +60,7 @@ class TestSinrTriplet:
         E_n = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         E_f = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         dists = np.array([300.0, 800.0, 2500.0])
-        got = sinr_triplet(sc.design.V, sc.design.u_near[0], sc.design.u_far[0],
-                           est_n, est_f, sc.pairs[0], E_n, E_f, dists, dists,
-                           table_params)
+        got = _sinrs(sc, table_params, E_n, E_f, dists)
         want = _hand_sinrs(sc.design.V, sc.design.u_near[0], sc.design.u_far[0],
                            est_n.H_hat, est_f.H_hat, E_n, E_f, sc.pairs[0],
                            dists, table_params)
@@ -60,36 +72,35 @@ class TestSinrTriplet:
         params = NetworkParams(M=1, N=1, K=1, lambda_b=0.0, sigma2=0.0)
         sc = build_scenario(params, PairConfig(r_k=1, r_kt=2),
                             k_factor_db=300.0, seed=1)
-        got = sinr_triplet(sc.design.V, sc.design.u_near[0], sc.design.u_far[0],
-                           sc.ests_near[0], sc.ests_far[0], sc.pairs[0],
-                           np.zeros((1, 1)), np.zeros((1, 1)),
-                           np.array([]), np.array([]), params)
+        got = _sinrs(sc, params, np.zeros((1, 1)), np.zeros((1, 1)),
+                     np.array([]))
         assert got[0] == pytest.approx(0.7 / 0.3, rel=1e-9)
 
     def test_trial_outcome_joint_event(self, table_scenario):
-        from nomacell import TrialOutcome
-        pair = table_scenario.pairs[0]  # thresholds 2^1 - 1 and 2^0.5 - 1
-        out = TrialOutcome.from_sinrs(0.2, 5.0, 0.9, pair)
-        assert not out.success_sic and not out.success_near
-        assert out.success_far
-        out = TrialOutcome.from_sinrs(0.9, 1.5, 0.2, pair)
-        assert out.success_sic and out.success_near and not out.success_far
-        # counted near success always implies SIC success
-        assert not TrialOutcome.from_sinrs(0.1, 9.9, 9.9, pair).success_near
+        # the counted near success is the joint (SIC and own) event: with an
+        # easy own stage, own-message successes whose SIC failed do not
+        # count; the joint table partitions the trials
+        n = 3000
+        sc = table_scenario.with_pair_rates(R_k=0.25, R_kt=1.25)
+        counts = _chunk_counts(sc, "conditional", n, np.random.default_rng(8),
+                               1, 5000.0, "none")
+        ok_far, ok_sic, ok_own, ok_joint, joint = counts
+        assert 0 < ok_joint <= ok_sic < ok_own
+        assert sum(joint) == n
+        assert joint[0] + joint[1] == ok_far
+        assert joint[0] + joint[2] == ok_joint
+        rep = estimate_outage(sc, "conditional", n, seed=8)
+        assert sum(rep.joint_counts) == n
+        assert rep.near.p_hat >= max(rep.near_stage_sic.p_hat,
+                                     rep.near_stage_own.p_hat)
 
     def test_no_interferers_equals_zero_power(self, table_scenario,
                                               table_params, rng):
         sc = table_scenario
         E = np.zeros((2, 3))
-        no_points = sinr_triplet(sc.design.V, sc.design.u_near[0],
-                                 sc.design.u_far[0], sc.ests_near[0],
-                                 sc.ests_far[0], sc.pairs[0], E, E,
-                                 np.array([]), np.array([]), table_params)
-        zero_rho = sinr_triplet(sc.design.V, sc.design.u_near[0],
-                                sc.design.u_far[0], sc.ests_near[0],
-                                sc.ests_far[0], sc.pairs[0], E, E,
-                                np.array([200.0]), np.array([200.0]),
-                                replace(table_params, rho_I=0.0))
+        no_points = _sinrs(sc, table_params, E, E, np.array([]))
+        zero_rho = _sinrs(sc, replace(table_params, rho_I=0.0), E, E,
+                          np.array([200.0]))
         assert no_points == pytest.approx(zero_rho, rel=1e-14)
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,11 +13,23 @@ from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
                       near_outage_conditional_approx, near_outage_conditional_exact,
                       outage_thresholds, sample_channel_matrix,
                       single_stream_outage_conditional)
-from nomacell.outage import _quadform_transform_1d, _scaled_vector
+from nomacell import outage
+from nomacell.outage import _projected_mean, _quadform_transform_1d
 
 
 def _unit_rows(mat):
     return mat / np.linalg.norm(mat, axis=0, keepdims=True)
+
+
+def _covariance(eff):
+    """Error covariance rebuilt from the stored eigensystem."""
+    return (eff.Psi * eff.delta) @ eff.Psi.conj().T
+
+
+def _closed_form_covariance(est, V, u):
+    """sigma_h2 (u^H R_r u) (V^H R_t V)^T of the filtered error u^H E V."""
+    quad_r = (u.conj() @ est.R_r @ u).real
+    return est.sigma_h2 * quad_r * (V.conj().T @ est.R_t @ V).T
 
 
 class TestEffectiveChannel:
@@ -28,7 +41,7 @@ class TestEffectiveChannel:
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         eff = effective_channel(est, V, u, table_params)
         assert np.all(eff.delta == 0)
-        assert np.allclose(eff.Sigma, 0)
+        assert np.allclose(_covariance(eff), 0)
 
     def test_isotropic_error(self, table_params, rng):
         # identity profiles with orthonormal V: Sigma = sigma_h2 |u|^2 I
@@ -39,7 +52,7 @@ class TestEffectiveChannel:
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         eff = effective_channel(est, V, u, table_params)
         want = 0.04 * np.linalg.norm(u) ** 2
-        assert np.allclose(eff.Sigma, want * np.eye(2), atol=1e-12)
+        assert np.allclose(_covariance(eff), want * np.eye(2), atol=1e-12)
         assert np.allclose(eff.delta, want)
 
     def test_trace_identity(self, table_params, rng):
@@ -51,10 +64,10 @@ class TestEffectiveChannel:
         eff = effective_channel(est, V, u, table_params)
         want = 0.01 * (u.conj() @ est.R_r @ u).real * np.trace(
             V.conj().T @ est.R_t @ V).real
-        assert np.trace(eff.Sigma).real == pytest.approx(want, abs=1e-10)
-        # eigendecomposition reconstructs the covariance
-        recon = (eff.Psi * eff.delta) @ eff.Psi.conj().T
-        assert np.allclose(recon, eff.Sigma, atol=1e-10)
+        assert np.trace(_covariance(eff)).real == pytest.approx(want, abs=1e-10)
+        # the eigensystem reconstructs the closed-form covariance
+        assert np.allclose(_covariance(eff), _closed_form_covariance(est, V, u),
+                           atol=1e-10)
 
     def test_rejects_unnormalized_precoder(self, table_params, rng):
         H = sample_channel_matrix(2, 3, 6.0, rng)
@@ -69,14 +82,16 @@ class TestThresholds:
     def test_formulas(self, table_scenario, table_params):
         link = table_scenario.link(1)
         pair = link.pair
-        th = outage_thresholds(link.eff_near, link.eff_far, pair, table_params)
+        th = outage_thresholds(link.eff_far, pair, table_params)
+        th_near = outage_thresholds(link.eff_near, pair, table_params)
         mu_f2 = abs(link.eff_far.mu[0]) ** 2
         mu_n2 = abs(link.eff_near.mu[0]) ** 2
         b2, bt2 = pair.beta_k2, pair.beta_kt2
         want_tau = (1 / (2 ** pair.R_kt - 1) - b2) * bt2 * mu_f2
         assert th.tau_kt_bar == pytest.approx(want_tau, rel=1e-12)
-        assert th.theta_k_bar == pytest.approx(mu_n2 * b2 / (2 ** pair.R_k - 1))
-        assert th.theta_kt_bar == pytest.approx(mu_n2 * bt2 / (2 ** pair.R_kt - 1))
+        assert th_near.theta_k_bar == pytest.approx(mu_n2 * b2 / (2 ** pair.R_k - 1))
+        assert th_near.theta_kt_bar == pytest.approx(
+            mu_n2 * bt2 / (2 ** pair.R_kt - 1))
         noise_f = (link.eff_far.sigma_u2
                    / (table_params.P * pair.d_kt ** -table_params.alpha))
         assert th.tau_kt == pytest.approx(want_tau - noise_f, rel=1e-12)
@@ -147,7 +162,7 @@ class TestFarOutage:
         # conditional value (shift property of the Laplace transform)
         link = table_scenario.link(1)
         eff, pair = link.eff_far, link.pair
-        th = outage_thresholds(eff, eff, pair, table_params)
+        th = outage_thresholds(eff, pair, table_params)
         d = pair.d_kt
         alpha = table_params.alpha
         coeff_i = math.pi * table_params.lambda_b * eff.omega * d * d
@@ -156,8 +171,7 @@ class TestFarOutage:
         def phi_point(s):
             return np.exp(-noise * s - coeff_i * s ** (2 / alpha))
 
-        nu = _scaled_vector(eff.mu, 0, pair.beta_k2)
-        zeta2 = np.abs(eff.Psi.conj().T @ nu) ** 2
+        zeta2 = _projected_mean(eff, 0, pair.beta_k2)
         q = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi_point),
                       th.tau_kt_bar, Inversion1DConfig())
         cond = far_outage_conditional(eff, pair, table_params).probability
@@ -201,7 +215,7 @@ class TestNearOutage:
                               np.eye(1, dtype=complex), 0.05)
         eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), params)
         pair = PairConfig(R_k=1.0, R_kt=0.5, r_k=1, r_kt=2)
-        th = outage_thresholds(eff, eff, pair, params)
+        th = outage_thresholds(eff, pair, params)
         res = single_stream_outage_conditional(eff, pair.R_k, pair.d_k, params)
         theta = abs(eff.mu[0]) ** 2 / (2 ** pair.R_k - 1) - eff.sigma_u2 / (
             params.P * pair.d_k ** -params.alpha)
@@ -301,3 +315,68 @@ class TestAverageOutage:
                          * ordered_distance_pdf(d, 2, 2, table_params),
                          1.0, 2500.0, limit=200)
         assert abs(avg - want) <= 5e-6 + 10 * err
+
+
+_RANDOM = GroupingPolicy("random")
+_OPERATORS = {
+    "far_cond": lambda lk, pair, params: far_outage_conditional(
+        lk.eff_far, pair, params),
+    "far_avg": lambda lk, pair, params: far_outage_average(
+        lk.eff_far, pair, params, _RANDOM),
+    "near_exact": lambda lk, pair, params: near_outage_conditional_exact(
+        lk.eff_near, pair, params),
+    "near_approx": lambda lk, pair, params: near_outage_conditional_approx(
+        lk.eff_near, pair, params),
+    "near_avg": lambda lk, pair, params: near_outage_average(
+        lk.eff_near, pair, params, _RANDOM),
+    "single": lambda lk, pair, params: single_stream_outage_conditional(
+        lk.eff_near, pair.R_k, pair.d_k, params),
+}
+_NONPOSITIVE = (1.0, 1.0, "nonpositive_threshold")
+_INFEASIBLE = (1.0, 1.0, "infeasible_rate_split")
+
+
+@lru_cache(maxsize=None)
+def _shortcut_link(lambda_b, k_factor_db):
+    params = NetworkParams(lambda_b=lambda_b)
+    return params, build_scenario(params, PairConfig(), k_factor_db=k_factor_db,
+                                  seed=20240717, policy=_RANDOM).link(1)
+
+
+def _zero_gain(link):
+    """Both users lose their own-stream gain, which zeroes every threshold."""
+    def cut(eff):
+        return replace(eff, mu=np.where(np.arange(eff.K) == link.stream, 0.0,
+                                        eff.mu))
+    return replace(link, eff_near=cut(link.eff_near), eff_far=cut(link.eff_far))
+
+
+# (case, operators, lambda_b, K-factor in dB, link edit, pair edit,
+#  expected (probability, raw, flag)); no row may invert a transform
+_SHORTCUTS = [
+    ("zero_rate", tuple(_OPERATORS), 1e-5, 20.0, None,
+     lambda p: p.with_rates(R_k=0.0, R_kt=0.0), (0.0, 0.0, None)),
+    ("zero_gain", tuple(_OPERATORS), 1e-5, 20.0, _zero_gain, None,
+     _NONPOSITIVE),
+    ("infeasible_split", ("far_cond", "far_avg", "near_approx"), 1e-5, 20.0,
+     None, lambda p: p.with_rates(R_kt=3.0), _INFEASIBLE),
+    ("concentrated", ("far_cond", "near_exact", "near_approx", "single"), 0.0,
+     80.0, None, None, (0.0, 0.0, None)),
+]
+
+
+@pytest.mark.parametrize("case,op,lambda_b,kdb,edit_link,edit_pair,want", [
+    pytest.param(case, op, lam, kdb, el, ep, want, id=f"{case}-{op}")
+    for case, ops, lam, kdb, el, ep, want in _SHORTCUTS for op in ops])
+def test_shared_shortcuts(monkeypatch, case, op, lambda_b, kdb, edit_link,
+                          edit_pair, want):
+    def no_inversion(*args, **kwargs):
+        raise AssertionError("shortcut case reached an inversion")
+
+    monkeypatch.setattr(outage, "invert_1d", no_inversion)
+    monkeypatch.setattr(outage, "invert_2d", no_inversion)
+    params, link = _shortcut_link(lambda_b, kdb)
+    link = edit_link(link) if edit_link else link
+    pair = edit_pair(link.pair) if edit_pair else link.pair
+    res = _OPERATORS[op](link, pair, params)
+    assert (res.probability, res.raw, res.flag) == want
