@@ -19,8 +19,8 @@ from .model import (ChannelEstimate, NetworkParams, PairConfig, channel_k_factor
                     hermitian_sqrt, sample_channel_matrix, sample_error_matrix)
 from .montecarlo import (McEstimate, McOutageReport, estimate_goodput,
                          estimate_near_outage_decorrelated, estimate_outage)
-from .outage import (EffectiveChannel, OutageReport, OutageResult,
-                     OutageThresholds, effective_channel, far_outage_average,
+from .outage import (EffectiveChannel, OutageResult, OutageThresholds,
+                     effective_channel, far_outage_average,
                      far_outage_conditional, near_outage_average,
                      near_outage_conditional_approx, near_outage_conditional_exact,
                      outage_thresholds, single_stream_outage_conditional)

@@ -22,7 +22,7 @@ from .geometry import GroupingPolicy
 from .laplace import Inversion1DConfig, Inversion2DConfig, invert_1d, invert_2d
 from .model import NetworkParams, PairConfig
 from .montecarlo import estimate_outage
-from .outage import (OutageReport, far_outage_average, far_outage_conditional,
+from .outage import (far_outage_average, far_outage_conditional,
                      near_outage_average, near_outage_conditional_approx,
                      near_outage_conditional_exact)
 from .asymptotic import optimize_chernoff_far, optimize_chernoff_near
@@ -45,7 +45,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a scenario, one sweep axis, methods to run."""
+    """One experiment: a scenario, one sweep axis, methods to run.
+
+    Construction checks every field and builds each sweep point's scenario
+    once, raising `ConfigError` before any point runs."""
 
     params: NetworkParams
     pair: PairConfig
@@ -84,127 +87,123 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in ("random", "distance"):
                 raise ConfigError(f"unknown grouping policy {p!r}")
+        if self.exclusion not in ("none", "serving"):
+            raise ConfigError("mc.exclusion must be none or serving")
+        if self.trials < 1:
+            raise ConfigError("mc.trials must be at least 1")
+        if self.window_radius <= 0:
+            raise ConfigError("mc.window_radius must be positive")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ConfigError("optimize.epsilon must lie in (0, 1]")
         lambdas = (self.sweep_values if self.sweep_axis == "lambda_b"
                    else (self.params.lambda_b,))
         if self.mode == "average" and min(lambdas) <= 0:
             raise ConfigError("mode = average needs lambda_b > 0: the "
                               "serving-distance law has no base stations")
+        for value in self.sweep_values:
+            try:
+                _scenario_at(self, value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"sweep point {self.sweep_axis} = {value}: {exc}") from None
 
 
-def _dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
+def _dbm_to_watt(text: str) -> float:
+    return 10.0 ** (float(text) / 10.0) / 1000.0
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(","))
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _grouping(text: str) -> tuple[str, ...]:
+    return ("random", "distance") if text == "both" else (text,)
+
+
+def _rate_ratio(text: str) -> float | None:
+    ratio = float(text)
+    return ratio if ratio > 0 else None
+
+
+# The config schema: key -> (part, field, parser).  `part` names the
+# ExperimentConfig field holding a library config object, or None for a
+# field of ExperimentConfig itself.  Unset keys keep the field's default.
+_PARTS = {"params": NetworkParams, "pair": PairConfig,
+          "inv1d": Inversion1DConfig, "inv2d": Inversion2DConfig}
 _KEYS = {
-    "network.lambda_b": float, "network.alpha": float,
-    "network.p_dbm": float, "network.rho_i_dbm": float, "network.sigma2_dbm": float,
-    "network.sigma2_zero": str, "network.m": int, "network.n": int,
-    "network.pairs": int, "network.cell_constant": float,
-    "channel.kappa": float, "channel.k_factor_db": float, "channel.h_norm2": float,
-    "pair.beta_near2": float, "pair.rate_near": float, "pair.rate_far": float,
-    "pair.rate_ratio": float, "pair.d_near": float, "pair.d_far": float,
-    "grouping": str, "design": str, "mode": str,
-    "sweep.axis": str, "sweep.values": str, "methods": str,
-    "mc.trials": int, "mc.window_radius": float, "mc.exclusion": str,
-    "optimize.epsilon": float,
-    "inv1d.a": float, "inv1d.m_euler": int, "inv1d.q": int,
-    "inv2d.l": int, "inv2d.p_eps": int, "inv2d.e_r": float,
-    "seed": int, "out": str,
+    "network.lambda_b": ("params", "lambda_b", float),
+    "network.alpha": ("params", "alpha", float),
+    "network.p_dbm": ("params", "P", _dbm_to_watt),
+    "network.rho_i_dbm": ("params", "rho_I", _dbm_to_watt),
+    "network.sigma2_dbm": ("params", "sigma2", _dbm_to_watt),
+    "network.m": ("params", "M", int),
+    "network.n": ("params", "N", int),
+    "network.pairs": ("params", "K", int),
+    "network.cell_constant": ("params", "c", float),
+    "channel.kappa": (None, "kappa", float),
+    "channel.k_factor_db": (None, "k_factor_db", float),
+    "channel.h_norm2": (None, "h_norm2", float),
+    "pair.beta_near2": ("pair", "beta_k2", float),
+    "pair.rate_near": ("pair", "R_k", float),
+    "pair.rate_far": ("pair", "R_kt", float),
+    "pair.rate_ratio": (None, "rate_ratio", _rate_ratio),
+    "pair.d_near": ("pair", "d_k", float),
+    "pair.d_far": ("pair", "d_kt", float),
+    "grouping": (None, "policies", _grouping),
+    "design": (None, "scheme", str),
+    "mode": (None, "mode", str),
+    "sweep.axis": (None, "sweep_axis", str),
+    "sweep.values": (None, "sweep_values", _grid),
+    "methods": (None, "methods", _names),
+    "mc.trials": (None, "trials", int),
+    "mc.window_radius": (None, "window_radius", float),
+    "mc.exclusion": (None, "exclusion", str),
+    "optimize.epsilon": (None, "epsilon", float),
+    "inv1d.a": ("inv1d", "A", float),
+    "inv1d.m_euler": ("inv1d", "m_euler", int),
+    "inv1d.q": ("inv1d", "q", int),
+    "inv2d.l": ("inv2d", "L", int),
+    "inv2d.p_eps": ("inv2d", "p_eps", int),
+    "inv2d.e_r": ("inv2d", "e_r", float),
+    "seed": (None, "seed", int),
+    "out": (None, "out", str),
 }
 
 
 def _parse_lines(text: str):
-    entries = {}
+    """Group the parsed values of the set keys by part: {part: {field: value}}."""
+    fields = {part: {} for part in (*_PARTS, None)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (side.strip() for side in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        part, name, parser = _KEYS[key]
         try:
-            entries[key] = _KEYS[key](value)
+            fields[part][name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key}: {exc}") from None
-    return entries
+    return fields
 
 
 def load_config(path: str | Path, label: str | None = None) -> ExperimentConfig:
-    """Parse and validate a config file."""
+    """Parse and validate a config file; unset keys keep their defaults."""
     path = Path(path)
-    entries = _parse_lines(path.read_text(encoding="utf-8"))
-    get = entries.get
-
-    sigma2 = _dbm_to_watt(get("network.sigma2_dbm", -99.0))
-    if get("network.sigma2_zero", "false").lower() in ("true", "yes", "1"):
-        sigma2 = 0.0
+    fields = _parse_lines(path.read_text(encoding="utf-8"))
     try:
-        params = NetworkParams(
-            lambda_b=get("network.lambda_b", 1e-5),
-            alpha=get("network.alpha", 3.5),
-            P=_dbm_to_watt(get("network.p_dbm", 20.0)),
-            rho_I=_dbm_to_watt(get("network.rho_i_dbm", 15.0)),
-            sigma2=sigma2,
-            M=get("network.m", 3),
-            N=get("network.n", 2),
-            K=get("network.pairs", 2),
-            c=get("network.cell_constant", 1.25),
-        )
-        pair = PairConfig(
-            beta_k2=get("pair.beta_near2", 0.3),
-            R_k=get("pair.rate_near", 1.0),
-            R_kt=get("pair.rate_far", 0.5),
-            d_k=get("pair.d_near", 50.0),
-            d_kt=get("pair.d_far", 125.0),
-        )
+        parts = {part: cls(**fields[part]) for part, cls in _PARTS.items()}
+        return ExperimentConfig(**parts, **fields[None],
+                                label=label or path.stem)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    grouping = get("grouping", "distance")
-    policies = ("random", "distance") if grouping == "both" else (grouping,)
-    if "sweep.values" in entries:
-        values = entries["sweep.values"]
-        try:
-            sweep_values = tuple(float(v) for v in values.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(
-                f"field sweep.values: cannot parse grid {values!r}") from None
-        if not sweep_values:
-            raise ConfigError("field sweep.values: nonempty grid required")
-    else:
-        sweep_values = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-
-    ratio = get("pair.rate_ratio", 2.0)
-    return ExperimentConfig(
-        params=params,
-        pair=pair,
-        kappa=get("channel.kappa", 0.9),
-        k_factor_db=get("channel.k_factor_db", 20.0),
-        h_norm2=get("channel.h_norm2", None),
-        seed=get("seed", 20240717),
-        policies=policies,
-        scheme=get("design", "aligned"),
-        mode=get("mode", "conditional"),
-        sweep_axis=get("sweep.axis", "rate_far"),
-        sweep_values=sweep_values,
-        methods=tuple(m.strip() for m in get("methods", "exact,mc").split(",")),
-        rate_ratio=ratio if ratio > 0 else None,
-        trials=get("mc.trials", 20000),
-        window_radius=get("mc.window_radius", 5000.0),
-        exclusion=get("mc.exclusion", "none"),
-        epsilon=get("optimize.epsilon", 0.01),
-        inv1d=Inversion1DConfig(A=get("inv1d.a", Inversion1DConfig.A),
-                                m_euler=get("inv1d.m_euler",
-                                            Inversion1DConfig.m_euler),
-                                q=get("inv1d.q", Inversion1DConfig.q)),
-        inv2d=Inversion2DConfig(L=get("inv2d.l", Inversion2DConfig.L),
-                                p_eps=get("inv2d.p_eps", Inversion2DConfig.p_eps),
-                                e_r=get("inv2d.e_r", Inversion2DConfig.e_r)),
-        out=get("out", "results"),
-        label=label or path.stem,
-    )
 
 
 def preset_path(name: str) -> Path:
@@ -235,6 +234,18 @@ def _scenario_at(cfg: ExperimentConfig, axis_value: float,
                           scheme=scheme or cfg.scheme, h_norm2=cfg.h_norm2)
 
 
+@dataclass(frozen=True)
+class _Row:
+    """One CSV row's values at a sweep point (the method column is the tag
+    the row is filed under)."""
+
+    p_far: float
+    p_near: float
+    goodput: float | None = None
+    stderr_far: float | None = None
+    stderr_near: float | None = None
+
+
 def _goodput(pair: PairConfig, p_near: float, p_far: float) -> float:
     return pair.R_k * (1.0 - p_near) + pair.R_kt * (1.0 - p_far)
 
@@ -253,22 +264,21 @@ def _method_tags(cfg: ExperimentConfig, method: str) -> tuple[str, ...]:
 
 
 def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
-    """Evaluate one (method, sweep point); yields (tag, OutageReport) for
-    each tag of `_method_tags`."""
+    """Evaluate one (method, sweep point); yields (tag, _Row) for each tag
+    of `_method_tags`."""
     tags = _method_tags(cfg, method)
     if method == "optimize":
         sc = _scenario_at(cfg, axis_value)
         link, params = sc.link(1), sc.params
         plain = _scenario_at(cfg, axis_value, scheme="plain").link(1)
-        eps, inv = cfg.epsilon, cfg.inv1d
-        runs = (lambda: maximize_goodput(link, eps, params, inv),
+        eps, inv, inv2d = cfg.epsilon, cfg.inv1d, cfg.inv2d
+        runs = (lambda: maximize_goodput(link, eps, params, inv, cfg2d=inv2d),
                 lambda: baseline_goodput("oma", link, eps, params, inv),
                 lambda: baseline_goodput("oma", plain, eps, params, inv),
-                lambda: baseline_goodput("noma", plain, eps, params, inv))
+                lambda: maximize_goodput(plain, eps, params, inv, cfg2d=inv2d))
         for tag, fn in zip(tags, runs):
             sol = fn()
-            yield tag, OutageReport(sol.p_far, sol.p_near, tag,
-                                    goodput=sol.goodput)
+            yield tag, _Row(sol.p_far, sol.p_near, goodput=sol.goodput)
         return
     # one tag per grouping policy in average mode, else the first policy only
     for tag, policy_name in zip(tags, cfg.policies):
@@ -280,15 +290,15 @@ def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
             rep = estimate_outage(sc, mode, cfg.trials, cfg.seed,
                                   window_radius=cfg.window_radius,
                                   exclusion=cfg.exclusion)
-            yield tag, OutageReport(
-                rep.far.p_hat, rep.near.p_hat, tag,
+            yield tag, _Row(
+                rep.far.p_hat, rep.near.p_hat,
                 goodput=_goodput(link.pair, rep.near.p_hat, rep.far.p_hat),
                 stderr_far=rep.far.stderr, stderr_near=rep.near.stderr)
             continue
         if method == "asymptotic":
             bf, _ = optimize_chernoff_far(link.eff_far, link.pair, params)
             bn, _ = optimize_chernoff_near(link.eff_near, link.pair, params)
-            yield tag, OutageReport(min(bf, 1.0), min(bn, 1.0), tag)
+            yield tag, _Row(min(bf, 1.0), min(bn, 1.0))
             continue
         if cfg.mode == "conditional":
             pf = far_outage_conditional(link.eff_far, link.pair, params,
@@ -307,8 +317,8 @@ def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
             pn = near_outage_average(link.eff_near, link.pair, params,
                                      sc.policy, cfg.inv2d,
                                      interference_limited=il)
-        yield tag, OutageReport(
-            pf.probability, pn.probability, tag,
+        yield tag, _Row(
+            pf.probability, pn.probability,
             goodput=_goodput(link.pair, pn.probability, pf.probability))
 
 
@@ -324,7 +334,7 @@ def run(cfg: ExperimentConfig, deterministic: bool = False,
     stream = stream or sys.stdout
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables: dict[str, list[tuple[float, OutageReport]]] = {}
+    tables: dict[str, list[tuple[float, _Row]]] = {}
     failures = 0
     for value in cfg.sweep_values:
         for method in cfg.methods:
@@ -334,7 +344,7 @@ def run(cfg: ExperimentConfig, deterministic: bool = False,
                 failures += 1
                 print(f"warning: {method} failed at {cfg.sweep_axis}={value}: {exc}",
                       file=stream)
-                rows = [(tag, OutageReport(math.nan, math.nan, tag))
+                rows = [(tag, _Row(math.nan, math.nan))
                         for tag in _method_tags(cfg, method)]
             for tag, report in rows:
                 tables.setdefault(tag, []).append((value, report))
@@ -349,7 +359,7 @@ def run(cfg: ExperimentConfig, deterministic: bool = False,
                 fields = (_format(value), _format(rep.p_far),
                           _format(rep.p_near), _format(rep.stderr_far),
                           _format(rep.stderr_near), _format(rep.goodput),
-                          rep.method, str(cfg.seed))
+                          tag, str(cfg.seed))
                 fh.write(",".join(fields) + "\n")
         paths.append(path)
         print(f"wrote {path} ({len(rows)} rows)", file=stream)
@@ -422,10 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "and design experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("config", help="config file path or preset name "
-                                           f"({', '.join(PRESETS)})")
+    def add_common(sp):
+        sp.add_argument("config", help="config file path or preset name "
+                                       f"({', '.join(PRESETS)})")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--out", default=None)
@@ -461,21 +470,17 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return 0 if validate(args.seed, args.inv_a, args.trials) else 1
         cfg = _resolve_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
+        overrides = {name: getattr(args, name) for name in ("seed", "trials", "out")
+                     if getattr(args, name) is not None}
         if args.command == "analyze":
-            methods = tuple(m for m in cfg.methods if m in
-                            ("exact", "approx", "asymptotic")) or ("exact",)
-            cfg = replace(cfg, methods=methods)
+            overrides["methods"] = tuple(
+                m for m in cfg.methods
+                if m in ("exact", "approx", "asymptotic")) or ("exact",)
         elif args.command == "simulate":
-            cfg = replace(cfg, methods=("mc",))
+            overrides["methods"] = ("mc",)
         elif args.command == "optimize":
-            cfg = replace(cfg, methods=("optimize",))
-        run(cfg, deterministic=args.deterministic)
+            overrides["methods"] = ("optimize",)
+        run(replace(cfg, **overrides), deterministic=args.deterministic)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

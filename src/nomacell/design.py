@@ -40,13 +40,12 @@ _SUBSAMPLE = 1000
 
 @dataclass(frozen=True)
 class LinearDesign:
-    """Precoder, per-pair receive filters and the aligned effective channel."""
+    """Precoder, per-pair receive filters and the aligned effective gains."""
 
     V: np.ndarray          # M x K, unit-norm columns
     u_near: np.ndarray     # K x N, row k filters pair k's near user
     u_far: np.ndarray      # K x N
     L: np.ndarray          # M x K antenna selection
-    G: np.ndarray          # K x K, column k = shared effective channel g_k
     gamma: np.ndarray      # K effective gains 1 / (G^-1 G^-H)_kk
     flags: tuple[str, ...] = ()
 
@@ -75,8 +74,6 @@ class RateSolution:
     p_near: float
     p_far: float
     feasible: bool = True
-    binding_near: bool = False
-    binding_far: bool = False
 
 
 def alignment_nullspace(H_near: np.ndarray, H_far: np.ndarray,
@@ -176,8 +173,8 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
         flags += ("selection_subsampled",)
     if degenerate:
         flags += ("degenerate_null_space",)
-    return LinearDesign(V=V, u_near=u_near, u_far=u_far, L=L, G=G,
-                        gamma=gamma, flags=flags)
+    return LinearDesign(V=V, u_near=u_near, u_far=u_far, L=L, gamma=gamma,
+                        flags=flags)
 
 
 def conditional_goodput(link: PairLink, params: NetworkParams,
@@ -324,12 +321,8 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
                                  caps=(near_cap, far_cap), step0=step0)
         if fs > f:
             x, f = xs, fs
-    pn, pf = p_near_c(x[0], x[1]), p_far_c(x[1])
-    tol = 1e-3 * epsilon
-    return RateSolution(float(x[0]), float(x[1]), float(f), pn, pf,
-                        feasible=True,
-                        binding_near=pn >= epsilon - tol,
-                        binding_far=pf >= epsilon - tol)
+    return RateSolution(float(x[0]), float(x[1]), float(f),
+                        p_near_c(x[0], x[1]), p_far_c(x[1]))
 
 
 def maximize_single_stream_goodput(eff: EffectiveChannel, d: float,
@@ -396,8 +389,5 @@ def baseline_goodput(scheme: str, link: PairLink, epsilon: float,
     R_kt, g_far, p_far = maximize_single_stream_goodput(
         link.eff_far, pair.d_kt, pair.beta_kt2, epsilon, params, cfg,
         link.stream)
-    tol = 1e-3 * epsilon
     return RateSolution(R_k, R_kt, g_near + g_far, p_near, p_far,
-                        feasible=g_near + g_far > 0.0,
-                        binding_near=p_near >= epsilon - tol,
-                        binding_far=p_far >= epsilon - tol)
+                        feasible=g_near + g_far > 0.0)

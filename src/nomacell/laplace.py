@@ -39,7 +39,7 @@ class Inversion1DConfig:
 
     def __post_init__(self):
         if self.A <= 0 or self.m_euler < 0 or self.q < 0:
-            raise ValueError("invalid 1D inversion configuration")
+            raise ValueError(f"invalid 1D inversion configuration {self}")
 
     @property
     def discretization_error(self) -> float:
@@ -71,7 +71,7 @@ class Inversion2DConfig:
 
     def __post_init__(self):
         if self.L < 1 or self.p_eps < 1 or not 0 < self.e_r < 1:
-            raise ValueError("invalid 2D inversion configuration")
+            raise ValueError(f"invalid 2D inversion configuration {self}")
 
     def resolve(self, theta1: float, theta2: float
                 ) -> tuple[float, float, float, float]:

@@ -29,7 +29,6 @@ __all__ = [
     "EffectiveChannel",
     "OutageThresholds",
     "OutageResult",
-    "OutageReport",
     "effective_channel",
     "outage_thresholds",
     "far_outage_conditional",
@@ -85,23 +84,10 @@ class OutageResult:
 
     probability: float
     raw: float
-    method: str
     flag: str | None = None
 
     def __float__(self) -> float:
         return self.probability
-
-
-@dataclass(frozen=True)
-class OutageReport:
-    """Aggregated per-pair outage/goodput summary for one evaluation point."""
-
-    p_far: float
-    p_near: float
-    method: str
-    goodput: float | None = None
-    stderr_far: float | None = None
-    stderr_near: float | None = None
 
 
 def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
@@ -219,12 +205,12 @@ def _interference_phi(omega: float, d: float, params: NetworkParams):
     return (lambda s: np.exp(-coeff * s ** expo)), coeff == 0.0
 
 
-def _clamp(raw: float, method: str, flag: str | None = None) -> OutageResult:
-    return OutageResult(min(max(raw, 0.0), 1.0), raw, method, flag)
+def _clamp(raw: float, flag: str | None = None) -> OutageResult:
+    return OutageResult(min(max(raw, 0.0), 1.0), raw, flag)
 
 
 def _outage(eff: EffectiveChannel, stream: int, stages, phi, trivial: bool,
-            cfg: Inversion1DConfig | None, method: str) -> OutageResult:
+            cfg: Inversion1DConfig | None) -> OutageResult:
     """Outage of independent stages: 1 - prod of the stage successes.
 
     A nonpositive threshold makes outage certain (flagged); an infinite
@@ -233,7 +219,7 @@ def _outage(eff: EffectiveChannel, stream: int, stages, phi, trivial: bool,
     spread band is decided without inversion.
     """
     if any(tau <= 0.0 for _, tau in stages):
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+        return OutageResult(1.0, 1.0, "nonpositive_threshold")
     q = 1.0
     for scale, tau in stages:
         if tau == math.inf:
@@ -244,7 +230,7 @@ def _outage(eff: EffectiveChannel, stream: int, stages, phi, trivial: bool,
             q_stage = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi),
                                 tau, cfg)
         q *= q_stage
-    return _clamp(1.0 - q, method)
+    return _clamp(1.0 - q)
 
 
 def far_outage_conditional(eff: EffectiveChannel, pair: PairConfig,
@@ -252,13 +238,12 @@ def far_outage_conditional(eff: EffectiveChannel, pair: PairConfig,
                            cfg: Inversion1DConfig | None = None,
                            stream: int = 0) -> OutageResult:
     """Far-user outage given the channel state and link distance."""
-    method = "far-exact-conditional"
     if not pair.feasible:
-        return OutageResult(1.0, 1.0, method, "infeasible_rate_split")
+        return OutageResult(1.0, 1.0, "infeasible_rate_split")
     th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_kt, params)
     return _outage(eff, stream, ((pair.beta_k2, th.tau_kt),), phi, trivial,
-                   cfg, method)
+                   cfg)
 
 
 def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -267,9 +252,8 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
                        stream: int = 0,
                        interference_limited: bool = False) -> OutageResult:
     """Far-user outage averaged over the policy's serving-distance law."""
-    method = f"far-average-{policy.variant}"
     if not pair.feasible:
-        return OutageResult(1.0, 1.0, method, "infeasible_rate_split")
+        return OutageResult(1.0, 1.0, "infeasible_rate_split")
     th = outage_thresholds(eff, pair, params, stream)
     rank = pair.r_kt if policy.variant == "distance" else 2
     mixture = distance_mixture(rank, policy.order_total(params.K))
@@ -281,7 +265,7 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
                                                sigma_u2, params) for si in s])
 
     return _outage(eff, stream, ((pair.beta_k2, th.tau_kt_bar),), phi, False,
-                   cfg, method)
+                   cfg)
 
 
 def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, stream: int,
@@ -338,7 +322,7 @@ def _phi_on_unique(fn):
 
 def _near_joint(eff: EffectiveChannel, pair: PairConfig, stream: int,
                 theta_sic: float, theta_own: float, phi, trivial: bool,
-                cfg: Inversion2DConfig | None, method: str) -> OutageResult:
+                cfg: Inversion2DConfig | None) -> OutageResult:
     """Outage of the joint (SIC, own-message) success event.
 
     A zero rate makes one stage certain and reduces the event to the other
@@ -346,22 +330,22 @@ def _near_joint(eff: EffectiveChannel, pair: PairConfig, stream: int,
     spread bands decide the event without inversion.
     """
     if theta_sic <= 0.0 or theta_own <= 0.0:
-        return OutageResult(1.0, 1.0, method, "nonpositive_threshold")
+        return OutageResult(1.0, 1.0, "nonpositive_threshold")
     stages = _near_stages(eff, pair, stream, theta_sic, theta_own)
     if math.inf in (theta_sic, theta_own):
-        return _outage(eff, stream, stages, phi, trivial, None, method)
+        return _outage(eff, stream, stages, phi, trivial, None)
     if trivial:
         certain = [_concentration_margin(_projected_mean(eff, stream, scale),
                                          eff.delta, tau)
                    for scale, tau in stages]
         if 0.0 in certain:
-            return OutageResult(1.0, 1.0, method)
+            return OutageResult(1.0, 1.0)
         if certain == [1.0, 1.0]:
-            return OutageResult(0.0, 0.0, method)
+            return OutageResult(0.0, 0.0)
     F = _near_joint_transform(eff, pair, stream, phi)
     q, info = invert_2d(F, theta_sic, theta_own, cfg, full_output=True)
     flag = "epsilon_degraded" if info["epsilon_degraded"] else None
-    return _clamp(1.0 - q, method, flag)
+    return _clamp(1.0 - q, flag)
 
 
 def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
@@ -372,7 +356,7 @@ def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
     th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
     return _near_joint(eff, pair, stream, th.theta_kt, th.theta_k, phi, trivial,
-                       cfg, "near-exact-conditional")
+                       cfg)
 
 
 def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
@@ -384,13 +368,12 @@ def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
     Upper-bounds the exact probability; each stage is a 1D inversion with
     the appropriately substituted mean vector and threshold.
     """
-    method = "near-approx-conditional"
     if not pair.feasible:
-        return OutageResult(1.0, 1.0, method, "infeasible_rate_split")
+        return OutageResult(1.0, 1.0, "infeasible_rate_split")
     th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
     stages = _near_stages(eff, pair, stream, th.theta_kt, th.theta_k)
-    return _outage(eff, stream, stages, phi, trivial, cfg, method)
+    return _outage(eff, stream, stages, phi, trivial, cfg)
 
 
 def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
@@ -408,8 +391,7 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
         noise = eff.sigma_u2 / (params.P * params.path_loss(d))
         theta = abs(eff.mu[stream]) ** 2 / (2.0 ** rate - 1.0) - noise
     phi, trivial = _interference_phi(eff.omega, d, params)
-    return _outage(eff, stream, ((0.0, theta),), phi, trivial, cfg,
-                   "single-stream-conditional")
+    return _outage(eff, stream, ((0.0, theta),), phi, trivial, cfg)
 
 
 def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -428,4 +410,4 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
     # once per anti-diagonal instead of once per grid node.
     cfg = replace(cfg or Inversion2DConfig(), square_period=True)
     return _near_joint(eff, pair, stream, th.theta_kt_bar, th.theta_k_bar, phi,
-                       False, cfg, f"near-average-{policy.variant}")
+                       False, cfg)

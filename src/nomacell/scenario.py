@@ -31,9 +31,6 @@ class Scenario:
     ests_far: tuple[ChannelEstimate, ...]
     design: LinearDesign
     links: tuple[PairLink, ...]
-    kappa: float
-    k_factor: float
-    seed: int
 
     def link(self, pair_index: int = 1) -> PairLink:
         return self.links[pair_index - 1]
@@ -82,8 +79,8 @@ def build_scenario(params: NetworkParams,
     h_norm2 = float(params.M * params.N) if h_norm2 is None else h_norm2
     R_t = exponential_covariance(params.M, kappa)
     R_r = exponential_covariance(params.N, kappa)
-    k_factor = 10.0 ** (k_factor_db / 10.0)
-    sigma_h2 = error_variance_for_k_factor(k_factor, h_norm2, R_t, R_r)
+    sigma_h2 = error_variance_for_k_factor(10.0 ** (k_factor_db / 10.0),
+                                           h_norm2, R_t, R_r)
 
     streams = np.random.SeedSequence(seed).spawn(2 * params.K)
     rngs = [np.random.default_rng(s) for s in streams]
@@ -106,8 +103,8 @@ def build_scenario(params: NetworkParams,
         u_far = np.array([_matched_filter(ests_far[k], V, k)
                           for k in range(params.K)])
         design = LinearDesign(V=V, u_near=u_near, u_far=u_far,
-                              L=V.copy(), G=np.eye(params.K, dtype=complex),
-                              gamma=np.ones(params.K), flags=("plain",))
+                              L=V.copy(), gamma=np.ones(params.K),
+                              flags=("plain",))
     else:
         raise ValueError(f"unknown design scheme {scheme!r}")
 
@@ -123,5 +120,4 @@ def build_scenario(params: NetworkParams,
         links.append(PairLink(eff_n, eff_f, pair, stream=k - 1))
     return Scenario(params=params, policy=policy, pairs=tuple(pairs),
                     ests_near=ests_near, ests_far=ests_far, design=design,
-                    links=tuple(links), kappa=kappa, k_factor=k_factor,
-                    seed=seed)
+                    links=tuple(links))

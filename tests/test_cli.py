@@ -1,6 +1,10 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from nomacell import cli
+from nomacell import Inversion1DConfig, Inversion2DConfig, RateSolution, cli
 from nomacell.cli import (ConfigError, PRESETS, load_config, main,
                           preset_path, run, validate)
 
@@ -61,6 +65,24 @@ class TestConfigParsing:
             cfg = load_config(preset_path(name), label=name)
             assert cfg.sweep_values
             assert cfg.label == name
+
+    def test_readme_lists_every_key_with_its_default(self):
+        # the README's config table is the schema's documentation: same
+        # keys in the same order, and each written default parses to the
+        # dataclass default
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = text.split("## Config format", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]*) \|", section, re.M)
+        assert [key for key, _ in rows] == list(cli._KEYS)
+        for key, cell in rows:
+            part, name, parser = cli._KEYS[key]
+            cls = cli._PARTS[part] if part else cli.ExperimentConfig
+            default = {f.name: f.default for f in fields(cls)}[name]
+            written = re.fullmatch(r"`([^`]*)`", cell.strip())
+            assert written or default is None, key
+            if written:
+                assert parser(written.group(1)) == default, key
 
 
 class TestRun:
@@ -125,16 +147,66 @@ class TestRun:
             assert rows[1][1:3] == ["nan", "nan"] and rows[1][6] == tag
             assert "nan" not in rows[0]
 
-    @pytest.mark.parametrize("lines", [
-        "network.lambda_b = 0\n",
-        "sweep.axis = lambda_b\nsweep.values = 0, 1e-5\n",
-    ])
-    def test_average_mode_needs_base_stations(self, tmp_path, lines):
-        with pytest.raises(ConfigError, match="lambda_b > 0"):
-            load_config(_write(tmp_path, "mode = average\n" + lines))
+    def test_optimize_passes_both_inversion_configs(self, tmp_path,
+                                                   monkeypatch):
+        # the proposed design and the plain-NOMA baseline both run the exact
+        # near-user outage, so both must see the configured 2D inversion
+        seen = []
+
+        def spy(link, epsilon, params, cfg=None, **kwargs):
+            seen.append((cfg, kwargs.get("cfg2d")))
+            return RateSolution(1.0, 0.5, 1.4, 0.01, 0.01)
+
+        monkeypatch.setattr(cli, "maximize_goodput", spy)
+        monkeypatch.setattr(cli, "baseline_goodput",
+                            lambda *args, **kwargs: RateSolution(
+                                0.5, 0.25, 0.7, 0.01, 0.01))
+        text = ("methods = optimize\nsweep.axis = k_factor_db\n"
+                "sweep.values = 20\ninv1d.q = 20\ninv2d.l = 30\n"
+                f"inv2d.p_eps = 4\nout = {tmp_path}/o\n")
+        run(load_config(_write(tmp_path, text)), deterministic=True)
+        assert seen == [(Inversion1DConfig(q=20),
+                         Inversion2DConfig(L=30, p_eps=4))] * 2
+
+
+# Configs that must fail at load time, with a text the error must name.
+BAD_CONFIGS = [
+    pytest.param("channel.kappa = 1\n", "kappa", id="kappa"),
+    pytest.param("sweep.axis = kappa\nsweep.values = 0.5, 1.0\n",
+                 "kappa = 1.0", id="kappa-sweep"),
+    pytest.param("sweep.values = -0.5, 0.5\n", "rate_far = -0.5",
+                 id="rate-sweep"),
+    pytest.param("sweep.axis = lambda_b\nsweep.values = -1e-5, 1e-5\n",
+                 "lambda_b = -1e-05", id="lambda_b-sweep"),
+    pytest.param("design = bogus\n", "bogus", id="design"),
+    pytest.param("methods = optimize\noptimize.epsilon = 0\n",
+                 "optimize.epsilon", id="epsilon"),
+    pytest.param("mc.trials = 0\n", "mc.trials", id="trials"),
+    pytest.param("mc.window_radius = -5000\n", "mc.window_radius",
+                 id="window-radius"),
+    pytest.param("mc.exclusion = bogus\n", "mc.exclusion", id="exclusion"),
+    pytest.param("network.lambda_b = 0\nmc.exclusion = bogus\n",
+                 "mc.exclusion", id="exclusion-no-base-stations"),
+    pytest.param("inv1d.q = -1\n", "q=-1", id="inv1d-q"),
+    pytest.param("inv2d.e_r = 2\n", "e_r=2.0", id="inv2d-e_r"),
+    pytest.param("mode = average\nnetwork.lambda_b = 0\n", "lambda_b > 0",
+                 id="average-no-base-stations"),
+    pytest.param("mode = average\nsweep.axis = lambda_b\n"
+                 "sweep.values = 0, 1e-5\n", "lambda_b > 0",
+                 id="average-lambda_b-sweep"),
+]
 
 
 class TestMain:
+    @pytest.mark.parametrize("text, named", BAD_CONFIGS)
+    def test_bad_config_exits_2_before_any_point(self, tmp_path, monkeypatch,
+                                                 capsys, text, named):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", str(_write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and named in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_validate_passes(self, capsys):
         assert main(["validate", "--trials", "4000"]) == 0
         out = capsys.readouterr().out
