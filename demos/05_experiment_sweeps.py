@@ -8,20 +8,19 @@ The same thing is available from the shell:
 """
 import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 from nomacell.cli import load_config, preset_path, run, validate
 
 print("validation suite")
 validate(trials=4000)
 
-out_dir = Path(tempfile.mkdtemp(prefix="nomacell_"))
-cfg = load_config(preset_path("fig1"), label="fig1")
-cfg = replace(cfg, trials=4000, out=str(out_dir))
-print(f"\nrunning the {cfg.label} sweep into {out_dir}")
-paths = run(cfg, deterministic=True)
+with tempfile.TemporaryDirectory(prefix="nomacell_") as out_dir:
+    cfg = load_config(preset_path("fig1"), label="fig1")
+    cfg = replace(cfg, trials=4000, out=out_dir)
+    print(f"\nrunning the {cfg.label} sweep into {out_dir}")
+    paths = run(cfg, deterministic=True)
 
-print("\nfirst rows of each table:")
-for path in paths:
-    lines = path.read_text().splitlines()
-    print(f"  {path.name}: {lines[1]}")
+    print("\nfirst rows of each table:")
+    for path in paths:
+        lines = path.read_text().splitlines()
+        print(f"  {path.name}: {lines[1]}")

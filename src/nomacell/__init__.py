@@ -6,8 +6,7 @@ from .asymptotic import (RateThresholds, chernoff_far_bound, chernoff_near_bound
                          rate_thresholds)
 from .design import (LinearDesign, PairLink, RateSolution, alignment_nullspace,
                      baseline_goodput, build_precoder, choose_receiver_combining,
-                     conditional_goodput, maximize_goodput,
-                     maximize_single_stream_goodput)
+                     maximize_goodput)
 from .geometry import (GroupingPolicy, distance_mixture, interference_coefficient,
                        ordered_distance_pdf, policy_laplace_factor,
                        sample_serving_distances, serving_distance_cdf,
@@ -16,14 +15,14 @@ from .laplace import (Inversion1DConfig, Inversion2DConfig, epsilon_accelerate,
                       invert_1d, invert_2d)
 from .model import (ChannelEstimate, NetworkParams, PairConfig, channel_k_factor,
                     error_variance_for_k_factor, exponential_covariance,
-                    hermitian_sqrt, sample_channel_matrix, sample_error_matrix)
+                    sample_channel_matrix, sample_error_matrix)
 from .montecarlo import (McEstimate, McOutageReport, estimate_goodput,
-                         estimate_near_outage_decorrelated, estimate_outage)
+                         estimate_outage)
 from .outage import (EffectiveChannel, OutageResult, OutageThresholds,
                      effective_channel, far_outage_average,
                      far_outage_conditional, near_outage_average,
                      near_outage_conditional_approx, near_outage_conditional_exact,
                      outage_thresholds, single_stream_outage_conditional)
-from .scenario import Scenario, build_scenario, plain_design
+from .scenario import Scenario, build_scenario
 
 __version__ = "0.1.0"

@@ -468,6 +468,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
+            if args.trials < 1:
+                raise ConfigError("--trials must be at least 1")
+            if args.inv_a is not None and not args.inv_a > 0:
+                raise ConfigError("--inv-a must be positive")
             return 0 if validate(args.seed, args.inv_a, args.trials) else 1
         cfg = _resolve_config(args.config)
         overrides = {name: getattr(args, name) for name in ("seed", "trials", "out")

@@ -8,6 +8,7 @@ users of a pair see the same effective channel.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,9 +28,7 @@ __all__ = [
     "alignment_nullspace",
     "choose_receiver_combining",
     "build_precoder",
-    "conditional_goodput",
     "maximize_goodput",
-    "maximize_single_stream_goodput",
     "baseline_goodput",
 ]
 
@@ -177,23 +176,6 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
                         flags=flags)
 
 
-def conditional_goodput(link: PairLink, params: NetworkParams,
-                        cfg: Inversion1DConfig | None = None,
-                        R_k: float | None = None,
-                        R_kt: float | None = None) -> float:
-    """Expected delivered rate of one pair, R(1 - p) summed over both users.
-
-    Uses the decorrelated near-user approximation, which upper-bounds the
-    outage and therefore yields a conservative (robust) goodput.
-    """
-    pair = link.pair.with_rates(R_k, R_kt)
-    p_far = far_outage_conditional(link.eff_far, pair, params, cfg,
-                                   link.stream).probability
-    p_near = near_outage_conditional_approx(link.eff_near, pair, params, cfg,
-                                            link.stream).probability
-    return pair.R_k * (1.0 - p_near) + pair.R_kt * (1.0 - p_far)
-
-
 def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
                      iters: int = 60) -> float:
     """Largest rate in (0, hi] with p(rate) <= epsilon (p nondecreasing)."""
@@ -261,10 +243,14 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     cfg2d = cfg2d or Inversion2DConfig()
     pair0 = link.pair
 
+    # One memo per outage function, shared by the rate caps, the grid and
+    # the pattern search; every evaluation is a numerical inversion.
+    @functools.cache
     def p_far(R_kt):
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
                                       params, cfg, link.stream).probability
 
+    @functools.cache
     def p_near(R_k, R_kt):
         pair = pair0.with_rates(R_k, R_kt)
         if near_engine == "exact":
@@ -280,35 +266,20 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     if far_cap <= 0.0 or near_cap <= 0.0:
         return RateSolution(0.0, 0.0, 0.0, 1.0, 1.0, feasible=False)
 
-    far_cache: dict[float, float] = {}
-    near_cache: dict[tuple[float, float], float] = {}
-
-    def p_far_c(R_kt):
-        if R_kt not in far_cache:
-            far_cache[R_kt] = p_far(R_kt)
-        return far_cache[R_kt]
-
-    def p_near_c(R_k, R_kt):
-        key = (R_k, R_kt)
-        if key not in near_cache:
-            near_cache[key] = p_near(R_k, R_kt)
-        return near_cache[key]
-
     def objective(x):
         R_k, R_kt = x
-        return (R_k * (1.0 - p_near_c(R_k, R_kt))
-                + R_kt * (1.0 - p_far_c(R_kt)))
+        return R_k * (1.0 - p_near(R_k, R_kt)) + R_kt * (1.0 - p_far(R_kt))
 
     def feasible(x):
         R_k, R_kt = x
-        return p_far_c(R_kt) <= epsilon and p_near_c(R_k, R_kt) <= epsilon
+        return p_far(R_kt) <= epsilon and p_near(R_k, R_kt) <= epsilon
 
     r_k_axis = np.linspace(near_cap / grid, near_cap, grid)
     r_kt_axis = np.linspace(far_cap / grid, far_cap, grid)
     scored = []
     for R_k in r_k_axis:
         for R_kt in r_kt_axis:
-            if p_near_c(R_k, R_kt) > epsilon:
+            if p_near(R_k, R_kt) > epsilon:
                 continue
             scored.append((objective((R_k, R_kt)), (R_k, R_kt)))
     if not scored:
@@ -322,15 +293,14 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
         if fs > f:
             x, f = xs, fs
     return RateSolution(float(x[0]), float(x[1]), float(f),
-                        p_near_c(x[0], x[1]), p_far_c(x[1]))
+                        p_near(x[0], x[1]), p_far(x[1]))
 
 
-def maximize_single_stream_goodput(eff: EffectiveChannel, d: float,
-                                   share: float, epsilon: float,
-                                   params: NetworkParams,
-                                   cfg: Inversion1DConfig | None = None,
-                                   stream: int = 0,
-                                   grid: int = 48) -> tuple[float, float, float]:
+def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
+                           epsilon: float, params: NetworkParams,
+                           cfg: Inversion1DConfig | None = None,
+                           stream: int = 0,
+                           grid: int = 48) -> tuple[float, float, float]:
     """Optimal delivered rate for an orthogonally scheduled user.
 
     The user holds the channel for a `share` fraction of the resource, so a
@@ -383,10 +353,10 @@ def baseline_goodput(scheme: str, link: PairLink, epsilon: float,
     if scheme != "oma":
         raise ValueError(f"unknown baseline scheme {scheme!r}")
     pair = link.pair
-    R_k, g_near, p_near = maximize_single_stream_goodput(
+    R_k, g_near, p_near = _single_stream_goodput(
         link.eff_near, pair.d_k, pair.beta_k2, epsilon, params, cfg,
         link.stream)
-    R_kt, g_far, p_far = maximize_single_stream_goodput(
+    R_kt, g_far, p_far = _single_stream_goodput(
         link.eff_far, pair.d_kt, pair.beta_kt2, epsilon, params, cfg,
         link.stream)
     return RateSolution(R_k, R_kt, g_near + g_far, p_near, p_far,

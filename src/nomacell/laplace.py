@@ -59,14 +59,12 @@ class Inversion2DConfig:
     transforms of s + t).  `L` is the series truncation order, `p_eps`
     the epsilon-extrapolation depth (2 * p_eps + 1 partial sums) and
     `e_r` the discretization error target fixing the contour abscissae
-    c1, c2 unless given explicitly.
+    c1, c2.
     """
 
     L: int = 80
     p_eps: int = 8
     e_r: float = 1e-8
-    c1: float | None = None
-    c2: float | None = None
     square_period: bool = False
 
     def __post_init__(self):
@@ -80,11 +78,10 @@ class Inversion2DConfig:
             T1 = T2 = 1.25 * max(theta1, theta2)
         else:
             T1, T2 = 1.25 * theta1, 1.25 * theta2
-        c1 = self.c1 if self.c1 is not None else -math.log(0.01 * self.e_r) / (2 * T1)
+        # exp(-2 T1 c1) = e_r / 100, so the c1 wrap-around stays below e_r.
+        c1 = -math.log(0.01 * self.e_r) / (2 * T1)
         xi = math.exp(-2 * T1 * c1)
-        if xi >= self.e_r:
-            raise ValueError("contour abscissa c1 too small: exp(-2*T1*c1) >= e_r")
-        c2 = self.c2 if self.c2 is not None else -math.log(self.e_r / (1 - xi)) / (2 * T2)
+        c2 = -math.log(self.e_r / (1 - xi)) / (2 * T2)
         return T1, T2, c1, c2
 
 

@@ -14,14 +14,12 @@ __all__ = [
     "ChannelEstimate",
     "PairConfig",
     "exponential_covariance",
-    "hermitian_sqrt",
     "sample_error_matrix",
     "sample_channel_matrix",
     "channel_k_factor",
     "error_variance_for_k_factor",
 ]
 
-_EIG_CLAMP_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
@@ -70,7 +68,7 @@ def exponential_covariance(dim: int, kappa: float) -> np.ndarray:
     return (kappa ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
 
 
-def hermitian_sqrt(R: np.ndarray, tol: float = _EIG_CLAMP_TOL) -> np.ndarray:
+def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition with clamping at 0.
 
     Raises if an eigenvalue is more negative than the PSD tolerance.
@@ -79,8 +77,7 @@ def hermitian_sqrt(R: np.ndarray, tol: float = _EIG_CLAMP_TOL) -> np.ndarray:
     scale = max(abs(w[-1]), 1.0)
     if w[0] < -_PSD_TOL * scale:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.where(w < tol * scale, np.clip(w, 0.0, None), w)
-    return (Q * np.sqrt(w)) @ Q.conj().T
+    return (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.conj().T
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,8 @@ class ChannelEstimate:
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_R_t_sqrt", hermitian_sqrt(self.R_t))
-        object.__setattr__(self, "_R_r_sqrt", hermitian_sqrt(self.R_r))
+        object.__setattr__(self, "_R_t_sqrt", _hermitian_sqrt(self.R_t))
+        object.__setattr__(self, "_R_r_sqrt", _hermitian_sqrt(self.R_r))
 
     @property
     def shape(self):

@@ -21,7 +21,6 @@ __all__ = [
     "McOutageReport",
     "estimate_outage",
     "estimate_goodput",
-    "estimate_near_outage_decorrelated",
 ]
 
 _CHUNK = 2000
@@ -53,7 +52,6 @@ class McOutageReport:
     near: McEstimate
     near_stage_sic: McEstimate
     near_stage_own: McEstimate
-    mode: str
     joint_counts: tuple[int, int, int, int]  # (nf&nn, nf&~nn, ~nf&nn, ~nf&~nn)
 
 
@@ -126,8 +124,7 @@ def _interference(rng: np.random.Generator, params: NetworkParams, n: int,
 
 def _chunk_counts(scenario: Scenario, mode: str, n: int,
                   rng: np.random.Generator, pair_index: int,
-                  window_radius: float, exclusion: str,
-                  decorrelate: bool = False):
+                  window_radius: float, exclusion: str):
     params = scenario.params
     link = scenario.link(pair_index)
     pair, k = link.pair, link.stream
@@ -155,15 +152,6 @@ def _chunk_counts(scenario: Scenario, mode: str, n: int,
 
     sinr_sic, sinr_own = _sinr_pair(mu_n, chi_n, k, pair.beta_k2,
                                     ell_P_n, I_n, noise_n)
-    if decorrelate:
-        # Independent error and interferer draws for the own-message stage
-        # (oracle for the stage-independence approximation).
-        I_n2_raw, _ = _interference(rng, params, n, d_near, d_far,
-                                    window_radius, exclusion)
-        I_n2 = params.rho_I * abs(np.sum(u_n.conj())) ** 2 * I_n2_raw
-        chi_n2 = _filtered_error(u_n, sample_error_matrix(est_n, rng, size=n), V)
-        _, sinr_own = _sinr_pair(mu_n, chi_n2, k, pair.beta_k2,
-                                 ell_P_n, I_n2, noise_n)
     sinr_far, _ = _sinr_pair(mu_f, chi_f, k, pair.beta_k2,
                              ell_P_f, I_f, noise_f)
 
@@ -173,30 +161,29 @@ def _chunk_counts(scenario: Scenario, mode: str, n: int,
     ok_sic = sinr_sic >= t_far
     ok_own = sinr_own >= t_near
     ok_joint = ok_sic & ok_own
-    joint = (int(np.sum(ok_far & ok_joint)), int(np.sum(ok_far & ~ok_joint)),
-             int(np.sum(~ok_far & ok_joint)), int(np.sum(~ok_far & ~ok_joint)))
-    return (int(ok_far.sum()), int(ok_sic.sum()), int(ok_own.sum()),
-            int(ok_joint.sum()), joint)
+    return np.array([np.sum(ok_far & ok_joint), np.sum(ok_far & ~ok_joint),
+                     np.sum(~ok_far & ok_joint), np.sum(~ok_far & ~ok_joint),
+                     np.sum(ok_sic), np.sum(ok_own)], dtype=np.int64)
 
 
 def _run(scenario: Scenario, mode: str, n_trials: int, seed: int,
-         pair_index: int, window_radius: float, exclusion: str,
-         decorrelate: bool = False):
+         pair_index: int, window_radius: float, exclusion: str) -> np.ndarray:
+    """Counts summed over chunks: the four (far ok, near ok) cells
+    (both, far only, near only, neither), then SIC-stage and own-stage
+    successes."""
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     n_chunks = (n_trials + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    tot = np.zeros(4, dtype=np.int64)
-    joint = np.zeros(4, dtype=np.int64)
+    tot = np.zeros(6, dtype=np.int64)
     done = 0
     for i in range(n_chunks):
         n = min(_CHUNK, n_trials - done)
-        counts = _chunk_counts(scenario, mode, n, np.random.default_rng(children[i]),
-                               pair_index, window_radius, exclusion, decorrelate)
-        tot += np.array(counts[:4])
-        joint += np.array(counts[4])
+        tot += _chunk_counts(scenario, mode, n,
+                             np.random.default_rng(children[i]), pair_index,
+                             window_radius, exclusion)
         done += n
-    return tot, joint
+    return tot
 
 
 def estimate_outage(scenario: Scenario, mode: str = "conditional",
@@ -211,29 +198,16 @@ def estimate_outage(scenario: Scenario, mode: str = "conditional",
     far-user decoding failures, the near estimate failures of the joint
     (cancel far, decode own) event.
     """
-    tot, joint = _run(scenario, mode, n_trials, seed, pair_index,
-                      window_radius, exclusion)
-    ok_far, ok_sic, ok_own, ok_joint = (int(v) for v in tot)
+    n11, n10, n01, n00, ok_sic, ok_own = (
+        int(v) for v in _run(scenario, mode, n_trials, seed, pair_index,
+                             window_radius, exclusion))
     return McOutageReport(
-        far=McEstimate.from_count(n_trials - ok_far, n_trials, seed),
-        near=McEstimate.from_count(n_trials - ok_joint, n_trials, seed),
+        far=McEstimate.from_count(n01 + n00, n_trials, seed),
+        near=McEstimate.from_count(n10 + n00, n_trials, seed),
         near_stage_sic=McEstimate.from_count(n_trials - ok_sic, n_trials, seed),
         near_stage_own=McEstimate.from_count(n_trials - ok_own, n_trials, seed),
-        mode=mode,
-        joint_counts=tuple(int(v) for v in joint),
+        joint_counts=(n11, n10, n01, n00),
     )
-
-
-def estimate_near_outage_decorrelated(scenario: Scenario,
-                                      mode: str = "conditional",
-                                      n_trials: int = 100_000, seed: int = 0,
-                                      pair_index: int = 1,
-                                      window_radius: float = 5000.0,
-                                      exclusion: str = "none") -> McEstimate:
-    """Near-user outage with stage-independent draws (approximation oracle)."""
-    tot, _ = _run(scenario, mode, n_trials, seed, pair_index, window_radius,
-                  exclusion, decorrelate=True)
-    return McEstimate.from_count(n_trials - int(tot[3]), n_trials, seed)
 
 
 def estimate_goodput(scenario: Scenario, n_trials: int = 100_000,
@@ -242,12 +216,11 @@ def estimate_goodput(scenario: Scenario, n_trials: int = 100_000,
                      window_radius: float = 5000.0,
                      exclusion: str = "none") -> McEstimate:
     """Empirical delivered rate of one pair, R_k 1{near ok} + R_kt 1{far ok}."""
-    tot, joint = _run(scenario, mode, n_trials, seed, pair_index,
-                      window_radius, exclusion)
+    joint = estimate_outage(scenario, mode, n_trials, seed, pair_index,
+                            window_radius, exclusion).joint_counts
     pair = scenario.pairs[pair_index - 1]
-    n11, n10, n01, n00 = (int(v) for v in joint)
     vals = np.array([pair.R_kt + pair.R_k, pair.R_kt, pair.R_k, 0.0])
-    counts = np.array([n11, n10, n01, n00], dtype=float)
+    counts = np.array(joint, dtype=float)
     mean = float(np.dot(vals, counts) / n_trials)
     var = float(np.dot((vals - mean) ** 2, counts) / n_trials)
     return McEstimate(mean, math.sqrt(var / n_trials), n_trials, seed)

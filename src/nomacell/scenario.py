@@ -17,7 +17,7 @@ from .model import (ChannelEstimate, NetworkParams, PairConfig,
                     sample_channel_matrix)
 from .outage import effective_channel
 
-__all__ = ["Scenario", "build_scenario", "plain_design"]
+__all__ = ["Scenario", "build_scenario"]
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,6 @@ class Scenario:
         pairs = tuple(p.with_rates(R_k, R_kt) for p in self.pairs)
         links = tuple(replace(l, pair=p) for l, p in zip(self.links, pairs))
         return replace(self, pairs=pairs, links=links)
-
-
-def plain_design(params: NetworkParams) -> np.ndarray:
-    """Identity-column precoding: stream k uses transmit antenna k.
-
-    Benchmark without alignment; receivers are matched filters built from
-    each user's own known channel column.
-    """
-    return np.eye(params.M, dtype=complex)[:, :params.K]
 
 
 def _matched_filter(est: ChannelEstimate, V: np.ndarray, stream: int) -> np.ndarray:
@@ -97,7 +88,7 @@ def build_scenario(params: NetworkParams,
         u_near, u_far = design.u_near, design.u_far
         V = design.V
     elif scheme == "plain":
-        V = plain_design(params)
+        V = np.eye(params.M, dtype=complex)[:, :params.K]
         u_near = np.array([_matched_filter(ests_near[k], V, k)
                            for k in range(params.K)])
         u_far = np.array([_matched_filter(ests_far[k], V, k)

@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import nomacell
+
+
+def test_package_names_are_the_submodule_exports():
+    # a name deleted from a module must leave its `__all__` and the package
+    # imports together; `cli` is the entry point and keeps its names
+    modules = [importlib.import_module(f"nomacell.{info.name}")
+               for info in pkgutil.iter_modules(nomacell.__path__)]
+    exported = {name for mod in modules if mod.__name__ != "nomacell.cli"
+                for name in mod.__all__}
+    submodules = {mod.__name__.rpartition(".")[2] for mod in modules}
+    public = {name for name in vars(nomacell) if not name.startswith("_")}
+    assert public == exported | submodules

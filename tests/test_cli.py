@@ -218,6 +218,18 @@ class TestMain:
         assert "[FAIL] 1d discretization bound" in out
         assert "[FAIL] 1d:" in out
 
+    @pytest.mark.parametrize("args, named", [
+        (["--trials", "0"], "--trials"),
+        (["--inv-a", "0"], "--inv-a"),
+        (["--inv-a", "-3"], "--inv-a"),
+    ])
+    def test_validate_bad_option_exits_2_before_any_check(self, capsys, args,
+                                                          named):
+        assert main(["validate", *args]) == 2
+        out, err = capsys.readouterr()
+        assert "config error:" in err and named in err
+        assert out == ""
+
     def test_missing_config_is_config_error(self, capsys):
         assert main(["sweep", "no-such-file.cfg"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -17,3 +17,4 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("nomacell_*")), "demo left a temp directory"

@@ -6,9 +6,9 @@ import pytest
 
 from nomacell import (NetworkParams, PairConfig, alignment_nullspace,
                       baseline_goodput, build_precoder, build_scenario,
-                      choose_receiver_combining, conditional_goodput,
-                      far_outage_conditional, maximize_goodput,
-                      near_outage_conditional_approx)
+                      choose_receiver_combining, far_outage_conditional,
+                      maximize_goodput, near_outage_conditional_approx)
+from nomacell.design import _single_stream_goodput
 
 
 def _draw_channels(rng, K=2, N=2, M=3):
@@ -143,27 +143,26 @@ class TestBuildPrecoder:
         assert abs(mu[0]) ** 2 == pytest.approx(design.gamma[0], rel=1e-10)
 
 
+def _goodput(link, params, **rates):
+    """R (1 - p) summed over both users, near user on the approx operator."""
+    pair = link.pair.with_rates(**rates)
+    return (pair.R_k * (1 - near_outage_conditional_approx(
+                link.eff_near, pair, params).probability)
+            + pair.R_kt * (1 - far_outage_conditional(
+                link.eff_far, pair, params).probability))
+
+
 class TestGoodput:
     def test_zero_rates_zero_goodput(self, table_scenario, table_params):
         link = table_scenario.link(1)
-        assert conditional_goodput(link, table_params, R_k=0.0, R_kt=0.0) == 0.0
+        assert _goodput(link, table_params, R_k=0.0, R_kt=0.0) == 0.0
 
     def test_outage_free_limit(self):
         params = NetworkParams(lambda_b=0.0)
         link = build_scenario(params, PairConfig(R_k=0.6, R_kt=0.3),
                               k_factor_db=60.0, seed=20240717).link(1)
-        total = conditional_goodput(link, params)
+        total = _goodput(link, params)
         assert total == pytest.approx(0.9, abs=1e-3)
-
-    def test_compositional_identity(self, table_scenario, table_params):
-        link = table_scenario.link(1)
-        g = conditional_goodput(link, table_params)
-        pf = far_outage_conditional(link.eff_far, link.pair,
-                                    table_params).probability
-        pn = near_outage_conditional_approx(link.eff_near, link.pair,
-                                            table_params).probability
-        want = link.pair.R_k * (1 - pn) + link.pair.R_kt * (1 - pf)
-        assert g == pytest.approx(want, abs=1e-12)
 
 
 class TestMaximizeGoodput:
@@ -249,13 +248,12 @@ class TestBaselines:
         assert sol.p_near <= 0.5 and sol.p_far <= 0.5
 
     def test_oma_goodput_composition(self, table_scenario, table_params):
-        from nomacell import maximize_single_stream_goodput
         link = table_scenario.link(1)
         sol = baseline_goodput("oma", link, 1e-2, table_params)
-        R_k, g_n, p_n = maximize_single_stream_goodput(
+        R_k, g_n, p_n = _single_stream_goodput(
             link.eff_near, link.pair.d_k, link.pair.beta_k2, 1e-2,
             table_params)
-        R_kt, g_f, p_f = maximize_single_stream_goodput(
+        R_kt, g_f, p_f = _single_stream_goodput(
             link.eff_far, link.pair.d_kt, link.pair.beta_kt2, 1e-2,
             table_params)
         assert sol.goodput == pytest.approx(g_n + g_f, abs=1e-12)

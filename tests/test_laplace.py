@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from nomacell import (Inversion1DConfig, Inversion2DConfig, NetworkParams,
-                      build_scenario, epsilon_accelerate, invert_1d, invert_2d,
+from nomacell import (Inversion1DConfig, NetworkParams, build_scenario,
+                      epsilon_accelerate, invert_1d, invert_2d,
                       near_outage_conditional_exact)
 from nomacell import laplace, outage
 
@@ -202,11 +202,6 @@ class TestInvert2D:
     def test_rejects_nonpositive_abscissae(self):
         with pytest.raises(ValueError):
             invert_2d(lambda s, t: 1 / (s * t), -1.0, 1.0)
-
-    def test_contour_validation(self):
-        cfg = Inversion2DConfig(c1=1e-12)
-        with pytest.raises(ValueError, match="c1"):
-            invert_2d(lambda s, t: 1 / (s * t), 1.0, 1.0, cfg)
 
 
 class TestEpsilonAcceleration:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nomacell import (NetworkParams, PairConfig, build_scenario,
-                      estimate_goodput, estimate_near_outage_decorrelated,
-                      estimate_outage, near_outage_conditional_approx)
+                      estimate_goodput, estimate_outage,
+                      near_outage_conditional_approx)
 from nomacell.montecarlo import _chunk_counts, _sinr_pair
 
 
@@ -82,15 +82,16 @@ class TestSinrTriplet:
         # count; the joint table partitions the trials
         n = 3000
         sc = table_scenario.with_pair_rates(R_k=0.25, R_kt=1.25)
-        counts = _chunk_counts(sc, "conditional", n, np.random.default_rng(8),
-                               1, 5000.0, "none")
-        ok_far, ok_sic, ok_own, ok_joint, joint = counts
+        *joint, ok_sic, ok_own = _chunk_counts(
+            sc, "conditional", n, np.random.default_rng(8), 1, 5000.0, "none")
+        ok_joint = joint[0] + joint[2]
         assert 0 < ok_joint <= ok_sic < ok_own
         assert sum(joint) == n
-        assert joint[0] + joint[1] == ok_far
-        assert joint[0] + joint[2] == ok_joint
         rep = estimate_outage(sc, "conditional", n, seed=8)
         assert sum(rep.joint_counts) == n
+        n11, n10, n01, n00 = rep.joint_counts
+        assert rep.far.p_hat == (n01 + n00) / n
+        assert rep.near.p_hat == (n10 + n00) / n
         assert rep.near.p_hat >= max(rep.near_stage_sic.p_hat,
                                      rep.near_stage_own.p_hat)
 
@@ -147,14 +148,22 @@ class TestEstimateOutage:
 
     def test_decorrelated_matches_approximation(self, table_scenario,
                                                 table_params):
-        # resampling errors and interferers between the stages is the
-        # sampling counterpart of the independence approximation
+        # with fixed distances, independent draws per stage make the near
+        # success probability q_sic * q_own, the sampling counterpart of the
+        # independence approximation; both factors come from the same draws,
+        # so the delta-method variance carries their covariance
         approx = near_outage_conditional_approx(
             table_scenario.link(1).eff_near, table_scenario.pairs[0],
             table_params).probability
-        mc = estimate_near_outage_decorrelated(table_scenario, "conditional",
-                                               100_000, seed=17)
-        assert abs(mc.p_hat - approx) <= 3 * mc.stderr
+        n = 160_000
+        rep = estimate_outage(table_scenario, "conditional", n, seed=17)
+        q_sic = 1.0 - rep.near_stage_sic.p_hat
+        q_own = 1.0 - rep.near_stage_own.p_hat
+        q_joint = 1.0 - rep.near.p_hat
+        var = (q_own ** 2 * q_sic * (1.0 - q_sic)
+               + q_sic ** 2 * q_own * (1.0 - q_own)
+               + 2.0 * q_sic * q_own * (q_joint - q_sic * q_own)) / n
+        assert abs(1.0 - q_sic * q_own - approx) <= 3 * math.sqrt(var)
 
 
 class TestEstimateGoodput:
