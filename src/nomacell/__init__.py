@@ -18,11 +18,11 @@ from .model import (ChannelEstimate, NetworkParams, PairConfig, channel_k_factor
                     sample_channel_matrix, sample_error_matrix)
 from .montecarlo import (McEstimate, McOutageReport, estimate_goodput,
                          estimate_outage)
-from .outage import (EffectiveChannel, OutageResult, OutageThresholds,
-                     effective_channel, far_outage_average,
-                     far_outage_conditional, near_outage_average,
-                     near_outage_conditional_approx, near_outage_conditional_exact,
-                     outage_thresholds, single_stream_outage_conditional)
+from .outage import (EffectiveChannel, OutageResult, effective_channel,
+                     far_outage_average, far_outage_conditional,
+                     near_outage_average, near_outage_conditional_approx,
+                     near_outage_conditional_exact,
+                     single_stream_outage_conditional)
 from .scenario import Scenario, build_scenario
 
 __version__ = "0.1.0"

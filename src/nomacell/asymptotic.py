@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkParams, PairConfig
-from .outage import EffectiveChannel, _near_stages, _projected_mean, \
-    outage_thresholds
+from .outage import EffectiveChannel, _far_stage, _near_abscissae, \
+    _near_stages, _projected_mean
 
 __all__ = [
     "RateThresholds",
@@ -46,7 +46,7 @@ def _normalized_eigs(eff: EffectiveChannel) -> np.ndarray:
     return eff.delta / eff.sigma_h2
 
 
-def _chernoff(eff: EffectiveChannel, stream: int, stages, s: float) -> float:
+def _chernoff(eff: EffectiveChannel, stages, s: float) -> float:
     """Sum over the stages of the Chernoff bound on each stage's failure.
 
     `s` is the normalized exponent parameter, admissible on
@@ -59,32 +59,27 @@ def _chernoff(eff: EffectiveChannel, stream: int, stages, s: float) -> float:
     log_pref = -np.sum(np.log1p(-s * ups))
     total = 0.0
     for scale, tau in stages:
-        margin = tau + np.sum(_projected_mean(eff, stream, scale)
-                              / (s * ups - 1.0))
+        margin = tau + np.sum(_projected_mean(eff, scale) / (s * ups - 1.0))
         total += np.exp(min(log_pref - s / eff.sigma_h2 * margin, 700.0))
     return float(total)
 
 
 def chernoff_far_bound(eff: EffectiveChannel, pair: PairConfig,
-                       params: NetworkParams, s_bar: float,
-                       stream: int = 0) -> float:
+                       params: NetworkParams, s_bar: float) -> float:
     """Chernoff upper bound on the far-user conditional outage at lambda_b=0.
 
     `s_bar` is the normalized exponent parameter, admissible on
     (0, 1 / max_i upsilon_i).
     """
-    th = outage_thresholds(eff, pair, params, stream)
-    return _chernoff(eff, stream, ((pair.beta_k2, th.tau_kt),), s_bar)
+    stage = _far_stage(eff, pair, eff.noise(pair.d_kt, params))
+    return _chernoff(eff, (stage,), s_bar)
 
 
 def chernoff_near_bound(eff: EffectiveChannel, pair: PairConfig,
-                        params: NetworkParams, s_hat: float,
-                        stream: int = 0) -> float:
+                        params: NetworkParams, s_hat: float) -> float:
     """Chernoff + union upper bound on the near-user conditional outage."""
-    th = outage_thresholds(eff, pair, params, stream)
-    return _chernoff(eff, stream,
-                     _near_stages(eff, pair, stream, th.theta_kt, th.theta_k),
-                     s_hat)
+    thetas = _near_abscissae(eff, pair, eff.noise(pair.d_k, params))
+    return _chernoff(eff, _near_stages(eff, pair, *thetas), s_hat)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10,
@@ -109,7 +104,7 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-10,
 
 
 def _optimize(bound, eff: EffectiveChannel, pair: PairConfig,
-              params: NetworkParams, stream: int) -> tuple[float, float]:
+              params: NetworkParams) -> tuple[float, float]:
     """Minimize a Chernoff bound over its free parameter.
 
     Returns (bound, s).  The admissible interval is searched with a 1e-6
@@ -121,27 +116,24 @@ def _optimize(bound, eff: EffectiveChannel, pair: PairConfig,
     s_sup = 1.0 / ups.max()
     lo, hi = 1e-6 * s_sup, (1.0 - 1e-6) * s_sup
     s_best, val = _golden_min(
-        lambda s: bound(eff, pair, params, s, stream), lo, hi)
+        lambda s: bound(eff, pair, params, s), lo, hi)
     return val, s_best
 
 
 def optimize_chernoff_far(eff: EffectiveChannel, pair: PairConfig,
-                          params: NetworkParams,
-                          stream: int = 0) -> tuple[float, float]:
+                          params: NetworkParams) -> tuple[float, float]:
     """Minimize the far-user Chernoff bound; returns (bound, s_bar)."""
-    return _optimize(chernoff_far_bound, eff, pair, params, stream)
+    return _optimize(chernoff_far_bound, eff, pair, params)
 
 
 def optimize_chernoff_near(eff: EffectiveChannel, pair: PairConfig,
-                           params: NetworkParams,
-                           stream: int = 0) -> tuple[float, float]:
+                           params: NetworkParams) -> tuple[float, float]:
     """Minimize the near-user Chernoff bound; returns (bound, s_hat)."""
-    return _optimize(chernoff_near_bound, eff, pair, params, stream)
+    return _optimize(chernoff_near_bound, eff, pair, params)
 
 
 def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,
-                    pair: PairConfig, params: NetworkParams,
-                    stream: int = 0) -> RateThresholds:
+                    pair: PairConfig, params: NetworkParams) -> RateThresholds:
     """Rate bounds of the vanishing-uncertainty regime (lambda_b = 0).
 
     Below these bounds (strictly) the conditional outage of the respective
@@ -149,17 +141,17 @@ def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,
     climbs to one.
     """
     b2, bt2 = pair.beta_k2, pair.beta_kt2
-    noise_far = eff_far.sigma_u2 / (params.P * params.path_loss(pair.d_kt))
-    noise_near = eff_near.sigma_u2 / (params.P * params.path_loss(pair.d_k))
+    noise_far = eff_far.noise(pair.d_kt, params)
+    noise_near = eff_near.noise(pair.d_k, params)
 
-    mu_far2 = abs(eff_far.mu[stream]) ** 2
-    zeta2 = _projected_mean(eff_far, stream, b2)
+    mu_far2 = eff_far.own_gain2
+    zeta2 = _projected_mean(eff_far, b2)
     denom_far = zeta2.sum() + b2 * bt2 * mu_far2 + noise_far
     far = math.log2(1.0 + bt2 * mu_far2 / denom_far) if denom_far > 0 else math.inf
 
-    mu_near2 = abs(eff_near.mu[stream]) ** 2
-    proj1 = _projected_mean(eff_near, stream, b2)
-    proj2 = _projected_mean(eff_near, stream, 0.0)
+    mu_near2 = eff_near.own_gain2
+    proj1 = _projected_mean(eff_near, b2)
+    proj2 = _projected_mean(eff_near, 0.0)
     denom_sic = proj1.sum() + b2 * bt2 * mu_near2 + noise_near
     denom_own = proj2.sum() + noise_near
     near_sic = math.log2(1.0 + bt2 * mu_near2 / denom_sic) if denom_sic > 0 else math.inf

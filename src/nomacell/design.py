@@ -60,7 +60,6 @@ class PairLink:
     eff_near: EffectiveChannel
     eff_far: EffectiveChannel
     pair: PairConfig
-    stream: int = 0
 
 
 @dataclass(frozen=True)
@@ -248,16 +247,16 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     @functools.cache
     def p_far(R_kt):
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
-                                      params, cfg, link.stream).probability
+                                      params, cfg).probability
 
     @functools.cache
     def p_near(R_k, R_kt):
         pair = pair0.with_rates(R_k, R_kt)
         if near_engine == "exact":
             return near_outage_conditional_exact(
-                link.eff_near, pair, params, cfg2d, link.stream).probability
+                link.eff_near, pair, params, cfg2d).probability
         return near_outage_conditional_approx(
-            link.eff_near, pair, params, cfg, link.stream).probability
+            link.eff_near, pair, params, cfg).probability
 
     split_cap = math.log2(1.0 + 1.0 / pair0.beta_k2) * (1.0 - 1e-9)
     far_cap = _bisect_rate_cap(p_far, min(epsilon, 1.0 - 1e-12), split_cap)
@@ -299,7 +298,6 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
 def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
                            epsilon: float, params: NetworkParams,
                            cfg: Inversion1DConfig | None = None,
-                           stream: int = 0,
                            grid: int = 48) -> tuple[float, float, float]:
     """Optimal delivered rate for an orthogonally scheduled user.
 
@@ -311,10 +309,9 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
 
     def p_of(R):
         return single_stream_outage_conditional(
-            eff, R / share, d, params, cfg, stream).probability
+            eff, R / share, d, params, cfg).probability
 
-    mu2 = abs(eff.mu[stream]) ** 2
-    noise = eff.sigma_u2 / (params.P * params.path_loss(d))
+    mu2, noise = eff.own_gain2, eff.noise(d, params)
     hard_cap = share * math.log2(1.0 + mu2 / noise) if noise > 0 else 64.0 * share
     cap = _bisect_rate_cap(p_of, min(epsilon, 1.0 - 1e-12), hard_cap)
     if cap <= 0.0:
@@ -354,10 +351,8 @@ def baseline_goodput(scheme: str, link: PairLink, epsilon: float,
         raise ValueError(f"unknown baseline scheme {scheme!r}")
     pair = link.pair
     R_k, g_near, p_near = _single_stream_goodput(
-        link.eff_near, pair.d_k, pair.beta_k2, epsilon, params, cfg,
-        link.stream)
+        link.eff_near, pair.d_k, pair.beta_k2, epsilon, params, cfg)
     R_kt, g_far, p_far = _single_stream_goodput(
-        link.eff_far, pair.d_kt, pair.beta_kt2, epsilon, params, cfg,
-        link.stream)
+        link.eff_far, pair.d_kt, pair.beta_kt2, epsilon, params, cfg)
     return RateSolution(R_k, R_kt, g_near + g_far, p_near, p_far,
                         feasible=g_near + g_far > 0.0)

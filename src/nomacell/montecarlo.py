@@ -127,7 +127,7 @@ def _chunk_counts(scenario: Scenario, mode: str, n: int,
                   window_radius: float, exclusion: str):
     params = scenario.params
     link = scenario.link(pair_index)
-    pair, k = link.pair, link.stream
+    pair = link.pair
     est_n = scenario.ests_near[pair_index - 1]
     est_f = scenario.ests_far[pair_index - 1]
     u_n = scenario.design.u_near[pair_index - 1]
@@ -150,9 +150,9 @@ def _chunk_counts(scenario: Scenario, mode: str, n: int,
     noise_n = params.sigma2 * float(np.linalg.norm(u_n) ** 2)
     noise_f = params.sigma2 * float(np.linalg.norm(u_f) ** 2)
 
-    sinr_sic, sinr_own = _sinr_pair(mu_n, chi_n, k, pair.beta_k2,
-                                    ell_P_n, I_n, noise_n)
-    sinr_far, _ = _sinr_pair(mu_f, chi_f, k, pair.beta_k2,
+    sinr_sic, sinr_own = _sinr_pair(mu_n, chi_n, link.eff_near.stream,
+                                    pair.beta_k2, ell_P_n, I_n, noise_n)
+    sinr_far, _ = _sinr_pair(mu_f, chi_f, link.eff_far.stream, pair.beta_k2,
                              ell_P_f, I_f, noise_f)
 
     t_far = 2.0 ** pair.R_kt - 1.0
@@ -218,7 +218,7 @@ def estimate_goodput(scenario: Scenario, n_trials: int = 100_000,
     """Empirical delivered rate of one pair, R_k 1{near ok} + R_kt 1{far ok}."""
     joint = estimate_outage(scenario, mode, n_trials, seed, pair_index,
                             window_radius, exclusion).joint_counts
-    pair = scenario.pairs[pair_index - 1]
+    pair = scenario.link(pair_index).pair
     vals = np.array([pair.R_kt + pair.R_k, pair.R_kt, pair.R_k, 0.0])
     counts = np.array(joint, dtype=float)
     mean = float(np.dot(vals, counts) / n_trials)

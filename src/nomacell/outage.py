@@ -2,16 +2,18 @@
 
 Reduces a (channel estimate, precoder, filter) triple to the effective
 post-filter quantities and evaluates outage as a chain of decoding stages.
-A stage (scale, tau) succeeds when the noncentral Gaussian quadratic form
-of the estimation error around the mean vector mu, with entry `stream`
-multiplied by `scale`, plus the interference stays at most tau.  Far-user
-and single-stream outage have one stage; near-user outage has two, the
-SIC stage (cancel the far message) and the own-message stage.  Every
-stage sits under one interference factor phi: the conditional PPP Laplace
-functional at a fixed link distance, or its average over a grouping
-policy's distance law.  `_outage` inverts the stages one at a time (their
-product is the stage-independence approximation for the near user);
-`_near_joint` inverts the exact joint SIC event in 2D.
+The effective channel records the user's own stream, so the operators
+take any pair's link as given.  A stage (scale, tau) succeeds when the
+noncentral Gaussian quadratic form of the estimation error around the mean
+vector mu, with the own-stream entry multiplied by `scale`, plus the
+interference stays at most tau.  Far-user and single-stream outage have
+one stage; near-user outage has two, the SIC stage (cancel the far
+message) and the own-message stage.  Every stage sits under one
+interference factor phi: the conditional PPP Laplace functional at a fixed
+link distance, or its average over a grouping policy's distance law.
+`_outage` inverts the stages one at a time (their product is the
+stage-independence approximation for the near user); `_near_joint`
+inverts the exact joint SIC event in 2D.
 """
 from __future__ import annotations
 
@@ -27,10 +29,8 @@ from .model import ChannelEstimate, NetworkParams, PairConfig
 
 __all__ = [
     "EffectiveChannel",
-    "OutageThresholds",
     "OutageResult",
     "effective_channel",
-    "outage_thresholds",
     "far_outage_conditional",
     "far_outage_average",
     "near_outage_conditional_exact",
@@ -47,7 +47,8 @@ class EffectiveChannel:
     `mu[i] = u^H H_hat v_i` are the known effective gains, (delta, Psi) the
     eigensystem of the covariance of the filtered error vector u^H E V,
     sorted by descending eigenvalue, `omega` the interference coefficient
-    of the filter and `sigma_u2` the filtered noise power.
+    of the filter, `sigma_u2` the filtered noise power and `stream` the
+    0-based index of the stream the user decodes (its pair's stream).
     """
 
     mu: np.ndarray
@@ -56,26 +57,20 @@ class EffectiveChannel:
     omega: float
     sigma_u2: float
     sigma_h2: float
+    stream: int
 
     @property
     def K(self) -> int:
         return len(self.mu)
 
+    @property
+    def own_gain2(self) -> float:
+        """|mu_k|^2 of the user's own stream."""
+        return abs(self.mu[self.stream]) ** 2
 
-@dataclass(frozen=True)
-class OutageThresholds:
-    """SINR-derived inversion abscissae for one pair.
-
-    Bar variants drop the noise term and are used by the distance-averaged
-    expressions, where noise is absorbed into the distance functional.
-    """
-
-    tau_kt: float
-    theta_k: float
-    theta_kt: float
-    tau_kt_bar: float
-    theta_k_bar: float
-    theta_kt_bar: float
+    def noise(self, d: float, params: NetworkParams) -> float:
+        """Filtered noise power over the transmit power received at d."""
+        return self.sigma_u2 / (params.P * params.path_loss(d))
 
 
 @dataclass(frozen=True)
@@ -91,8 +86,9 @@ class OutageResult:
 
 
 def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
-                      params: NetworkParams) -> EffectiveChannel:
-    """Reduce (estimate, precoder, receive filter) to effective-link form."""
+                      stream: int, params: NetworkParams) -> EffectiveChannel:
+    """Reduce (estimate, precoder, receive filter) to effective-link form;
+    `stream` is the 0-based column of V the user decodes."""
     V = np.asarray(V, dtype=complex)
     u = np.asarray(u, dtype=complex).reshape(-1)
     norms = np.linalg.norm(V, axis=0)
@@ -111,6 +107,7 @@ def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
         omega=interference_coefficient(u, params),
         sigma_u2=params.sigma2 * float(np.linalg.norm(u) ** 2),
         sigma_h2=est.sigma_h2,
+        stream=stream,
     )
 
 
@@ -119,47 +116,37 @@ def _inv_snr_gap(rate: float) -> float:
     return 1.0 / (2.0 ** rate - 1.0) if rate > 0.0 else math.inf
 
 
-def outage_thresholds(eff: EffectiveChannel, pair: PairConfig,
-                      params: NetworkParams,
-                      stream: int = 0) -> OutageThresholds:
-    """All inversion abscissae of one pair through one user's channel.
-
-    Read the far-user fields with the far user's `eff` and the near-user
-    fields with the near user's (stream index 0-based).
-    """
-    b2, bt2 = pair.beta_k2, pair.beta_kt2
-    mu2 = abs(eff.mu[stream]) ** 2
-    tau_bar = (_inv_snr_gap(pair.R_kt) - b2) * bt2 * mu2
-    th_k_bar = mu2 * b2 * _inv_snr_gap(pair.R_k)
-    th_kt_bar = mu2 * bt2 * _inv_snr_gap(pair.R_kt)
-    noise_far = eff.sigma_u2 / (params.P * params.path_loss(pair.d_kt))
-    noise_near = eff.sigma_u2 / (params.P * params.path_loss(pair.d_k))
-    return OutageThresholds(
-        tau_kt=tau_bar - noise_far,
-        theta_k=th_k_bar - noise_near,
-        theta_kt=th_kt_bar - noise_near,
-        tau_kt_bar=tau_bar,
-        theta_k_bar=th_k_bar,
-        theta_kt_bar=th_kt_bar,
-    )
+def _far_stage(eff: EffectiveChannel, pair: PairConfig, noise: float):
+    """(scale, tau) of the far user's decoding stage; `noise` is
+    `eff.noise(d_kt, params)`, or 0 where the distance average carries it."""
+    tau = (_inv_snr_gap(pair.R_kt) - pair.beta_k2) * pair.beta_kt2 * eff.own_gain2
+    return pair.beta_k2, tau - noise
 
 
-def _projected_mean(eff: EffectiveChannel, stream: int,
-                    scale: float) -> np.ndarray:
-    """|Psi^H nu|^2 for nu = mu with entry `stream` multiplied by `scale`."""
+def _near_abscissae(eff: EffectiveChannel, pair: PairConfig, noise: float):
+    """(theta_sic, theta_own) of the near user; `noise` as in `_far_stage`
+    at d_k."""
+    mu2 = eff.own_gain2
+    return (mu2 * pair.beta_kt2 * _inv_snr_gap(pair.R_kt) - noise,
+            mu2 * pair.beta_k2 * _inv_snr_gap(pair.R_k) - noise)
+
+
+def _projected_mean(eff: EffectiveChannel, scale: float) -> np.ndarray:
+    """|Psi^H nu|^2 for nu = mu with the own-stream entry multiplied by
+    `scale`."""
     nu = eff.mu.copy()
-    nu[stream] = scale * nu[stream]
+    nu[eff.stream] = scale * nu[eff.stream]
     return np.abs(eff.Psi.conj().T @ nu) ** 2
 
 
-def _near_stages(eff: EffectiveChannel, pair: PairConfig, stream: int,
+def _near_stages(eff: EffectiveChannel, pair: PairConfig,
                  theta_sic: float, theta_own: float):
     """(scale, tau) of the near user's SIC and own-message stages.
 
     The SIC stage keeps the near message as interference: its own-stream
     power beta_k2 beta_kt2 |mu_k|^2 moves from the form to the threshold.
     """
-    shift = pair.beta_k2 * pair.beta_kt2 * abs(eff.mu[stream]) ** 2
+    shift = pair.beta_k2 * pair.beta_kt2 * eff.own_gain2
     return (pair.beta_k2, theta_sic - shift), (0.0, theta_own)
 
 
@@ -209,22 +196,25 @@ def _clamp(raw: float, flag: str | None = None) -> OutageResult:
     return OutageResult(min(max(raw, 0.0), 1.0), raw, flag)
 
 
-def _outage(eff: EffectiveChannel, stream: int, stages, phi, trivial: bool,
-            cfg: Inversion1DConfig | None) -> OutageResult:
+def _outage(eff: EffectiveChannel, pair: PairConfig | None, stages, phi,
+            trivial: bool, cfg: Inversion1DConfig | None) -> OutageResult:
     """Outage of independent stages: 1 - prod of the stage successes.
 
-    A nonpositive threshold makes outage certain (flagged); an infinite
-    one (zero rate) makes its stage succeed.  With `trivial` (no
-    interference) a stage whose threshold sits far outside the form's
+    An infeasible rate split (`pair` is None for an exclusively scheduled
+    stream) or a nonpositive threshold makes outage certain (flagged); an
+    infinite threshold (zero rate) makes its stage succeed.  With `trivial`
+    (no interference) a stage whose threshold sits far outside the form's
     spread band is decided without inversion.
     """
+    if pair is not None and not pair.feasible:
+        return OutageResult(1.0, 1.0, "infeasible_rate_split")
     if any(tau <= 0.0 for _, tau in stages):
         return OutageResult(1.0, 1.0, "nonpositive_threshold")
     q = 1.0
     for scale, tau in stages:
         if tau == math.inf:
             continue
-        zeta2 = _projected_mean(eff, stream, scale)
+        zeta2 = _projected_mean(eff, scale)
         q_stage = _concentration_margin(zeta2, eff.delta, tau) if trivial else None
         if q_stage is None:
             q_stage = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi),
@@ -235,26 +225,18 @@ def _outage(eff: EffectiveChannel, stream: int, stages, phi, trivial: bool,
 
 def far_outage_conditional(eff: EffectiveChannel, pair: PairConfig,
                            params: NetworkParams,
-                           cfg: Inversion1DConfig | None = None,
-                           stream: int = 0) -> OutageResult:
+                           cfg: Inversion1DConfig | None = None) -> OutageResult:
     """Far-user outage given the channel state and link distance."""
-    if not pair.feasible:
-        return OutageResult(1.0, 1.0, "infeasible_rate_split")
-    th = outage_thresholds(eff, pair, params, stream)
+    stage = _far_stage(eff, pair, eff.noise(pair.d_kt, params))
     phi, trivial = _interference_phi(eff.omega, pair.d_kt, params)
-    return _outage(eff, stream, ((pair.beta_k2, th.tau_kt),), phi, trivial,
-                   cfg)
+    return _outage(eff, pair, (stage,), phi, trivial, cfg)
 
 
 def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
                        params: NetworkParams, policy: GroupingPolicy,
                        cfg: Inversion1DConfig | None = None,
-                       stream: int = 0,
                        interference_limited: bool = False) -> OutageResult:
     """Far-user outage averaged over the policy's serving-distance law."""
-    if not pair.feasible:
-        return OutageResult(1.0, 1.0, "infeasible_rate_split")
-    th = outage_thresholds(eff, pair, params, stream)
     rank = pair.r_kt if policy.variant == "distance" else 2
     mixture = distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
@@ -264,12 +246,10 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
         return np.array([policy_laplace_factor(si, mixture, eff.omega,
                                                sigma_u2, params) for si in s])
 
-    return _outage(eff, stream, ((pair.beta_k2, th.tau_kt_bar),), phi, False,
-                   cfg)
+    return _outage(eff, pair, (_far_stage(eff, pair, 0.0),), phi, False, cfg)
 
 
-def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, stream: int,
-                          phi_of_sum):
+def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
     """Two-variable success transform of the joint SIC event.
 
     The diagonal scaling matrices of the two stacked quadratic forms enter
@@ -280,7 +260,7 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, stream: int,
     """
     mu, delta, Psi = eff.mu, eff.delta, eff.Psi
     b2, bt2 = pair.beta_k2, pair.beta_kt2
-    k = stream
+    k = eff.stream
     mask = np.ones(eff.K, dtype=bool)
     mask[k] = False
     # mu^H A psi_i = (s+t) * p_i + s * b2 * r_i
@@ -320,29 +300,29 @@ def _phi_on_unique(fn):
     return apply
 
 
-def _near_joint(eff: EffectiveChannel, pair: PairConfig, stream: int,
-                theta_sic: float, theta_own: float, phi, trivial: bool,
-                cfg: Inversion2DConfig | None) -> OutageResult:
+def _near_joint(eff: EffectiveChannel, pair: PairConfig, noise: float, phi,
+                trivial: bool, cfg: Inversion2DConfig | None) -> OutageResult:
     """Outage of the joint (SIC, own-message) success event.
 
-    A zero rate makes one stage certain and reduces the event to the other
-    stage's 1D marginal; without interference, forms far outside their
-    spread bands decide the event without inversion.
+    `_outage` decides an infeasible split or a nonpositive abscissa, and
+    takes a zero rate, which makes one stage certain and reduces the event
+    to the other stage's 1D marginal; without interference, forms far
+    outside their spread bands decide the event without inversion.
     """
-    if theta_sic <= 0.0 or theta_own <= 0.0:
-        return OutageResult(1.0, 1.0, "nonpositive_threshold")
-    stages = _near_stages(eff, pair, stream, theta_sic, theta_own)
-    if math.inf in (theta_sic, theta_own):
-        return _outage(eff, stream, stages, phi, trivial, None)
+    theta_sic, theta_own = _near_abscissae(eff, pair, noise)
+    stages = _near_stages(eff, pair, theta_sic, theta_own)
+    if (not pair.feasible or theta_sic <= 0.0 or theta_own <= 0.0
+            or math.inf in (theta_sic, theta_own)):
+        return _outage(eff, pair, stages, phi, trivial, None)
     if trivial:
-        certain = [_concentration_margin(_projected_mean(eff, stream, scale),
+        certain = [_concentration_margin(_projected_mean(eff, scale),
                                          eff.delta, tau)
                    for scale, tau in stages]
         if 0.0 in certain:
             return OutageResult(1.0, 1.0)
         if certain == [1.0, 1.0]:
             return OutageResult(0.0, 0.0)
-    F = _near_joint_transform(eff, pair, stream, phi)
+    F = _near_joint_transform(eff, pair, phi)
     q, info = invert_2d(F, theta_sic, theta_own, cfg, full_output=True)
     flag = "epsilon_degraded" if info["epsilon_degraded"] else None
     return _clamp(1.0 - q, flag)
@@ -350,36 +330,33 @@ def _near_joint(eff: EffectiveChannel, pair: PairConfig, stream: int,
 
 def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
                                   params: NetworkParams,
-                                  cfg: Inversion2DConfig | None = None,
-                                  stream: int = 0) -> OutageResult:
+                                  cfg: Inversion2DConfig | None = None
+                                  ) -> OutageResult:
     """Near-user outage of the joint (SIC, own-message) success event."""
-    th = outage_thresholds(eff, pair, params, stream)
     phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    return _near_joint(eff, pair, stream, th.theta_kt, th.theta_k, phi, trivial,
+    return _near_joint(eff, pair, eff.noise(pair.d_k, params), phi, trivial,
                        cfg)
 
 
 def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
                                    params: NetworkParams,
-                                   cfg: Inversion1DConfig | None = None,
-                                   stream: int = 0) -> OutageResult:
+                                   cfg: Inversion1DConfig | None = None
+                                   ) -> OutageResult:
     """Near-user outage neglecting the correlation of the two SIC stages.
 
     Upper-bounds the exact probability; each stage is a 1D inversion with
     the appropriately substituted mean vector and threshold.
     """
-    if not pair.feasible:
-        return OutageResult(1.0, 1.0, "infeasible_rate_split")
-    th = outage_thresholds(eff, pair, params, stream)
+    stages = _near_stages(eff, pair, *_near_abscissae(
+        eff, pair, eff.noise(pair.d_k, params)))
     phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    stages = _near_stages(eff, pair, stream, th.theta_kt, th.theta_k)
-    return _outage(eff, stream, stages, phi, trivial, cfg)
+    return _outage(eff, pair, stages, phi, trivial, cfg)
 
 
 def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
                                      d: float, params: NetworkParams,
-                                     cfg: Inversion1DConfig | None = None,
-                                     stream: int = 0) -> OutageResult:
+                                     cfg: Inversion1DConfig | None = None
+                                     ) -> OutageResult:
     """Outage of an exclusively scheduled stream (no power-domain sharing).
 
     Used by the orthogonal-access baselines: the stream carries full power,
@@ -388,19 +365,16 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
     """
     theta = math.inf
     if rate > 0.0:
-        noise = eff.sigma_u2 / (params.P * params.path_loss(d))
-        theta = abs(eff.mu[stream]) ** 2 / (2.0 ** rate - 1.0) - noise
+        theta = eff.own_gain2 / (2.0 ** rate - 1.0) - eff.noise(d, params)
     phi, trivial = _interference_phi(eff.omega, d, params)
-    return _outage(eff, stream, ((0.0, theta),), phi, trivial, cfg)
+    return _outage(eff, None, ((0.0, theta),), phi, trivial, cfg)
 
 
 def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
                         params: NetworkParams, policy: GroupingPolicy,
                         cfg: Inversion2DConfig | None = None,
-                        stream: int = 0,
                         interference_limited: bool = False) -> OutageResult:
     """Near-user outage averaged over the policy's serving-distance law."""
-    th = outage_thresholds(eff, pair, params, stream)
     rank = pair.r_k if policy.variant == "distance" else 1
     mixture = distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
@@ -409,5 +383,4 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
     # Tie the sampling periods so the distance functional is evaluated
     # once per anti-diagonal instead of once per grid node.
     cfg = replace(cfg or Inversion2DConfig(), square_period=True)
-    return _near_joint(eff, pair, stream, th.theta_kt_bar, th.theta_k_bar, phi,
-                       False, cfg)
+    return _near_joint(eff, pair, 0.0, phi, False, cfg)

@@ -26,7 +26,6 @@ class Scenario:
 
     params: NetworkParams
     policy: GroupingPolicy
-    pairs: tuple[PairConfig, ...]
     ests_near: tuple[ChannelEstimate, ...]
     ests_far: tuple[ChannelEstimate, ...]
     design: LinearDesign
@@ -38,9 +37,8 @@ class Scenario:
     def with_pair_rates(self, R_k: float | None = None,
                         R_kt: float | None = None) -> "Scenario":
         """Same realization with all pairs retargeted to new rates."""
-        pairs = tuple(p.with_rates(R_k, R_kt) for p in self.pairs)
-        links = tuple(replace(l, pair=p) for l, p in zip(self.links, pairs))
-        return replace(self, pairs=pairs, links=links)
+        return replace(self, links=tuple(
+            replace(l, pair=l.pair.with_rates(R_k, R_kt)) for l in self.links))
 
 
 def _matched_filter(est: ChannelEstimate, V: np.ndarray, stream: int) -> np.ndarray:
@@ -99,16 +97,16 @@ def build_scenario(params: NetworkParams,
     else:
         raise ValueError(f"unknown design scheme {scheme!r}")
 
-    pairs = []
     links = []
     for k in range(1, params.K + 1):
         r_k, r_kt = policy.ranks(k, params.K)
         pair = PairConfig(template.beta_k2, template.R_k, template.R_kt,
                           template.d_k, template.d_kt, r_k, r_kt)
-        eff_n = effective_channel(ests_near[k - 1], V, u_near[k - 1], params)
-        eff_f = effective_channel(ests_far[k - 1], V, u_far[k - 1], params)
-        pairs.append(pair)
-        links.append(PairLink(eff_n, eff_f, pair, stream=k - 1))
-    return Scenario(params=params, policy=policy, pairs=tuple(pairs),
+        eff_n = effective_channel(ests_near[k - 1], V, u_near[k - 1], k - 1,
+                                  params)
+        eff_f = effective_channel(ests_far[k - 1], V, u_far[k - 1], k - 1,
+                                  params)
+        links.append(PairLink(eff_n, eff_f, pair))
+    return Scenario(params=params, policy=policy,
                     ests_near=ests_near, ests_far=ests_far, design=design,
                     links=tuple(links))

@@ -141,9 +141,9 @@ def test_criterion_5_grouping_policy_ordering(table_params):
     for i, r in enumerate(RATE_GRID):
         lr = sc_r.with_pair_rates(R_k=2 * r, R_kt=r)
         ld = sc_d.with_pair_rates(R_k=2 * r, R_kt=r)
-        p_rnd = nc.near_outage_average(lr.link(1).eff_near, lr.pairs[0],
+        p_rnd = nc.near_outage_average(lr.link(1).eff_near, lr.link(1).pair,
                                        table_params, rnd).probability
-        p_dst = nc.near_outage_average(ld.link(1).eff_near, ld.pairs[0],
+        p_dst = nc.near_outage_average(ld.link(1).eff_near, ld.link(1).pair,
                                        table_params, dst).probability
         assert p_dst <= p_rnd, f"analytic ordering violated at R_kt={r}"
         mc_r = nc.estimate_outage(lr, "average-random", 60_000, seed=2000 + i)

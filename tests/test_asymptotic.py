@@ -91,7 +91,8 @@ class TestRateThresholds:
         from nomacell import ChannelEstimate, effective_channel
         est = ChannelEstimate(np.array([[1.0 + 0j]]), np.eye(1, dtype=complex),
                               np.eye(1, dtype=complex), 0.0)
-        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), params)
+        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), 0,
+                                params)
         th = rate_thresholds(eff, eff, PairConfig(r_k=1, r_kt=2), params)
         assert th.R_k_max_near == math.inf
 

@@ -217,11 +217,10 @@ class TestMaximizeGoodput:
             for i, R_k in enumerate(axes[0]):
                 for j, R_kt in enumerate(axes[1]):
                     pair = link.pair.with_rates(R_k, R_kt)
-                    pf = far_outage_conditional(link.eff_far, pair, table_params,
-                                                stream=link.stream).probability
+                    pf = far_outage_conditional(link.eff_far, pair,
+                                                table_params).probability
                     pn = near_outage_conditional_approx(
-                        link.eff_near, pair, table_params,
-                        stream=link.stream).probability
+                        link.eff_near, pair, table_params).probability
                     if pf <= eps and pn <= eps:
                         out[i, j] = R_k * (1 - pn) + R_kt * (1 - pf)
             return out

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nomacell import (NetworkParams, PairConfig, build_scenario,
-                      estimate_goodput, estimate_outage,
-                      near_outage_conditional_approx)
+                      estimate_goodput, estimate_outage, far_outage_conditional,
+                      near_outage_conditional_approx,
+                      near_outage_conditional_exact)
 from nomacell.montecarlo import _chunk_counts, _sinr_pair
 
 
@@ -42,7 +43,7 @@ def _hand_sinrs(V, u_n, u_f, Hn_hat, Hf_hat, E_n, E_f, pair, dists, params):
 def _sinrs(sc, params, E_n, E_f, dists):
     """(SIC, own, far) SINRs of pair 1 through `_sinr_pair` for one draw."""
     V, (u_n, u_f) = sc.design.V, (sc.design.u_near[0], sc.design.u_far[0])
-    pair, out = sc.pairs[0], []
+    pair, out = sc.link(1).pair, []
     for u, est, E, d in ((u_n, sc.ests_near[0], E_n, pair.d_k),
                          (u_f, sc.ests_far[0], E_f, pair.d_kt)):
         I_u = params.rho_I * abs(np.sum(u.conj())) ** 2 * np.sum(
@@ -62,7 +63,7 @@ class TestSinrTriplet:
         dists = np.array([300.0, 800.0, 2500.0])
         got = _sinrs(sc, table_params, E_n, E_f, dists)
         want = _hand_sinrs(sc.design.V, sc.design.u_near[0], sc.design.u_far[0],
-                           est_n.H_hat, est_f.H_hat, E_n, E_f, sc.pairs[0],
+                           est_n.H_hat, est_f.H_hat, E_n, E_f, sc.link(1).pair,
                            dists, table_params)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -153,7 +154,7 @@ class TestEstimateOutage:
         # independence approximation; both factors come from the same draws,
         # so the delta-method variance carries their covariance
         approx = near_outage_conditional_approx(
-            table_scenario.link(1).eff_near, table_scenario.pairs[0],
+            table_scenario.link(1).eff_near, table_scenario.link(1).pair,
             table_params).probability
         n = 160_000
         rep = estimate_outage(table_scenario, "conditional", n, seed=17)
@@ -165,6 +166,19 @@ class TestEstimateOutage:
                + 2.0 * q_sic * q_own * (q_joint - q_sic * q_own)) / n
         assert abs(1.0 - q_sic * q_own - approx) <= 3 * math.sqrt(var)
 
+    def test_second_pair_through_the_public_operators(self, table_scenario,
+                                                      table_params):
+        # the link carries its own stream: pair 2's operators need no
+        # extra argument to match the simulator's pair 2
+        link = table_scenario.link(2)
+        rep = estimate_outage(table_scenario, "conditional", 20000, seed=31,
+                              pair_index=2)
+        far = far_outage_conditional(link.eff_far, link.pair, table_params)
+        near = near_outage_conditional_exact(link.eff_near, link.pair,
+                                             table_params)
+        assert abs(far.probability - rep.far.p_hat) <= 4 * rep.far.stderr
+        assert abs(near.probability - rep.near.p_hat) <= 4 * rep.near.stderr
+
 
 class TestEstimateGoodput:
     def test_zero_rates(self, table_scenario):
@@ -172,13 +186,16 @@ class TestEstimateGoodput:
         est = estimate_goodput(sc, 2000, seed=1)
         assert est.p_hat == 0.0
 
-    def test_composition_identity(self, table_scenario):
-        rep = estimate_outage(table_scenario, "conditional", 20000, seed=21)
-        est = estimate_goodput(table_scenario, 20000, seed=21)
-        pair = table_scenario.pairs[0]
-        want = (pair.R_k * (1 - rep.near.p_hat)
-                + pair.R_kt * (1 - rep.far.p_hat))
-        assert est.p_hat == pytest.approx(want, abs=1e-12)
+    def test_stderr_matches_the_spread_over_seeds(self):
+        # the reported stderr is the spread of the estimate: over 400
+        # independent seeds, std(p_hat) / rms(stderr) stays near 1
+        params = NetworkParams(lambda_b=0.0)
+        sc = build_scenario(params, PairConfig(R_k=2.0, R_kt=1.0),
+                            k_factor_db=10.0, seed=20240717)
+        ests = [estimate_goodput(sc, 500, seed=s) for s in range(400)]
+        spread = np.std([e.p_hat for e in ests], ddof=1)
+        rms = math.sqrt(np.mean([e.stderr ** 2 for e in ests]))
+        assert 0.85 <= spread / rms <= 1.15
 
     def test_outage_free_limit(self):
         params = NetworkParams(lambda_b=0.0)

@@ -11,10 +11,10 @@ from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
                       far_outage_average,
                       far_outage_conditional, invert_1d, near_outage_average,
                       near_outage_conditional_approx, near_outage_conditional_exact,
-                      outage_thresholds, sample_channel_matrix,
-                      single_stream_outage_conditional)
+                      sample_channel_matrix, single_stream_outage_conditional)
 from nomacell import outage
-from nomacell.outage import _projected_mean, _quadform_transform_1d
+from nomacell.outage import (_far_stage, _near_abscissae, _projected_mean,
+                             _quadform_transform_1d)
 
 
 def _unit_rows(mat):
@@ -39,7 +39,7 @@ class TestEffectiveChannel:
                               exponential_covariance(2, 0.9), 0.0)
         V = _unit_rows(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        eff = effective_channel(est, V, u, table_params)
+        eff = effective_channel(est, V, u, 0, table_params)
         assert np.all(eff.delta == 0)
         assert np.allclose(_covariance(eff), 0)
 
@@ -50,7 +50,7 @@ class TestEffectiveChannel:
                               np.eye(2, dtype=complex), 0.04)
         V, _ = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        eff = effective_channel(est, V, u, table_params)
+        eff = effective_channel(est, V, u, 0, table_params)
         want = 0.04 * np.linalg.norm(u) ** 2
         assert np.allclose(_covariance(eff), want * np.eye(2), atol=1e-12)
         assert np.allclose(eff.delta, want)
@@ -61,7 +61,7 @@ class TestEffectiveChannel:
                               exponential_covariance(2, 0.9), 0.01)
         V = _unit_rows(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        eff = effective_channel(est, V, u, table_params)
+        eff = effective_channel(est, V, u, 0, table_params)
         want = 0.01 * (u.conj() @ est.R_r @ u).real * np.trace(
             V.conj().T @ est.R_t @ V).real
         assert np.trace(_covariance(eff)).real == pytest.approx(want, abs=1e-10)
@@ -75,27 +75,31 @@ class TestEffectiveChannel:
                               np.eye(2, dtype=complex), 0.01)
         with pytest.raises(ValueError, match="unit norm"):
             effective_channel(est, 2.0 * np.eye(3, dtype=complex)[:, :2],
-                              np.ones(2), table_params)
+                              np.ones(2), 0, table_params)
 
 
 class TestThresholds:
     def test_formulas(self, table_scenario, table_params):
         link = table_scenario.link(1)
         pair = link.pair
-        th = outage_thresholds(link.eff_far, pair, table_params)
-        th_near = outage_thresholds(link.eff_near, pair, table_params)
         mu_f2 = abs(link.eff_far.mu[0]) ** 2
         mu_n2 = abs(link.eff_near.mu[0]) ** 2
         b2, bt2 = pair.beta_k2, pair.beta_kt2
         want_tau = (1 / (2 ** pair.R_kt - 1) - b2) * bt2 * mu_f2
-        assert th.tau_kt_bar == pytest.approx(want_tau, rel=1e-12)
-        assert th_near.theta_k_bar == pytest.approx(mu_n2 * b2 / (2 ** pair.R_k - 1))
-        assert th_near.theta_kt_bar == pytest.approx(
-            mu_n2 * bt2 / (2 ** pair.R_kt - 1))
+        scale, tau_bar = _far_stage(link.eff_far, pair, 0.0)
+        assert scale == b2
+        assert tau_bar == pytest.approx(want_tau, rel=1e-12)
+        theta_sic, theta_own = _near_abscissae(link.eff_near, pair, 0.0)
+        assert theta_own == pytest.approx(mu_n2 * b2 / (2 ** pair.R_k - 1),
+                                          rel=1e-12)
+        assert theta_sic == pytest.approx(mu_n2 * bt2 / (2 ** pair.R_kt - 1),
+                                          rel=1e-12)
         noise_f = (link.eff_far.sigma_u2
                    / (table_params.P * pair.d_kt ** -table_params.alpha))
-        assert th.tau_kt == pytest.approx(want_tau - noise_f, rel=1e-12)
-        assert th.tau_kt < th.tau_kt_bar
+        _, tau = _far_stage(link.eff_far, pair,
+                            link.eff_far.noise(pair.d_kt, table_params))
+        assert tau == pytest.approx(want_tau - noise_f, rel=1e-12)
+        assert tau < tau_bar
 
 
 class TestFarOutage:
@@ -107,7 +111,8 @@ class TestFarOutage:
                               np.eye(1, dtype=complex), 0.0)
         pair = PairConfig(beta_k2=0.3, R_kt=0.5 * math.log2(1 + 0.7 / 0.3),
                           r_k=1, r_kt=2)
-        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), params)
+        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), 0,
+                                params)
         p = far_outage_conditional(eff, pair, params)
         assert p.probability <= 1e-3
 
@@ -162,7 +167,6 @@ class TestFarOutage:
         # conditional value (shift property of the Laplace transform)
         link = table_scenario.link(1)
         eff, pair = link.eff_far, link.pair
-        th = outage_thresholds(eff, pair, table_params)
         d = pair.d_kt
         alpha = table_params.alpha
         coeff_i = math.pi * table_params.lambda_b * eff.omega * d * d
@@ -171,9 +175,9 @@ class TestFarOutage:
         def phi_point(s):
             return np.exp(-noise * s - coeff_i * s ** (2 / alpha))
 
-        zeta2 = _projected_mean(eff, 0, pair.beta_k2)
+        zeta2 = _projected_mean(eff, pair.beta_k2)
         q = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi_point),
-                      th.tau_kt_bar, Inversion1DConfig())
+                      _far_stage(eff, pair, 0.0)[1], Inversion1DConfig())
         cond = far_outage_conditional(eff, pair, table_params).probability
         assert abs((1 - q) - cond) <= 1e-6
 
@@ -194,7 +198,8 @@ class TestNearOutage:
         est = ChannelEstimate(np.array([[1.0 + 0j]]), np.eye(1, dtype=complex),
                               np.eye(1, dtype=complex), 1e-12)
         pair = PairConfig(beta_k2=0.3, R_k=1.0, R_kt=0.5, r_k=1, r_kt=2)
-        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), params)
+        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), 0,
+                                params)
         p = near_outage_conditional_exact(eff, pair, params)
         assert p.probability <= 1e-3
 
@@ -213,15 +218,15 @@ class TestNearOutage:
                                sigma2=table_params.sigma2)
         est = ChannelEstimate(np.array([[1.2 + 0.5j]]), np.eye(1, dtype=complex),
                               np.eye(1, dtype=complex), 0.05)
-        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), params)
+        eff = effective_channel(est, np.eye(1, dtype=complex), np.ones(1), 0,
+                                params)
         pair = PairConfig(R_k=1.0, R_kt=0.5, r_k=1, r_kt=2)
-        th = outage_thresholds(eff, pair, params)
         res = single_stream_outage_conditional(eff, pair.R_k, pair.d_k, params)
         theta = abs(eff.mu[0]) ** 2 / (2 ** pair.R_k - 1) - eff.sigma_u2 / (
             params.P * pair.d_k ** -params.alpha)
         want = math.exp(-theta / eff.delta[0])
         assert res.probability == pytest.approx(want, abs=1e-6)
-        assert th.theta_k_bar > 0
+        assert _near_abscissae(eff, pair, 0.0)[1] > 0
 
     def test_monotone_in_error_variance(self, table_pair):
         # same realization, shrinking channel quality: outage cannot drop
@@ -255,7 +260,7 @@ class TestRandomizedInvariants:
             V, _ = np.linalg.qr(rng.normal(size=(3, 2))
                                 + 1j * rng.normal(size=(3, 2)))
             u = rng.normal(size=2) + 1j * rng.normal(size=2)
-            eff = effective_channel(est, V, u, params)
+            eff = effective_channel(est, V, u, 0, params)
             R_kt = float(rng.uniform(0.05, 1.2))
             pair = PairConfig(beta_k2=float(rng.uniform(0.1, 0.45)),
                               R_k=float(rng.uniform(0.05, 2.5)), R_kt=R_kt,
@@ -346,7 +351,7 @@ def _shortcut_link(lambda_b, k_factor_db):
 def _zero_gain(link):
     """Both users lose their own-stream gain, which zeroes every threshold."""
     def cut(eff):
-        return replace(eff, mu=np.where(np.arange(eff.K) == link.stream, 0.0,
+        return replace(eff, mu=np.where(np.arange(eff.K) == eff.stream, 0.0,
                                         eff.mu))
     return replace(link, eff_near=cut(link.eff_near), eff_far=cut(link.eff_far))
 
@@ -358,8 +363,9 @@ _SHORTCUTS = [
      lambda p: p.with_rates(R_k=0.0, R_kt=0.0), (0.0, 0.0, None)),
     ("zero_gain", tuple(_OPERATORS), 1e-5, 20.0, _zero_gain, None,
      _NONPOSITIVE),
-    ("infeasible_split", ("far_cond", "far_avg", "near_approx"), 1e-5, 20.0,
-     None, lambda p: p.with_rates(R_kt=3.0), _INFEASIBLE),
+    ("infeasible_split",
+     ("far_cond", "far_avg", "near_exact", "near_approx", "near_avg"), 1e-5,
+     20.0, None, lambda p: p.with_rates(R_kt=3.0), _INFEASIBLE),
     ("concentrated", ("far_cond", "near_exact", "near_approx", "single"), 0.0,
      80.0, None, None, (0.0, 0.0, None)),
 ]
