@@ -35,6 +35,10 @@ __all__ = [
 _NULL_TOL = 1e-10
 _MAX_ENUMERATION = 5040
 _SUBSAMPLE = 1000
+# Rate-cap bisection: relative bracket width at which it stops, and the
+# halving cap that ends it when no rate is feasible.
+_CAP_RTOL = 1e-9
+_CAP_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,20 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
                         flags=flags)
 
 
-def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
-                     iters: int = 60) -> float:
-    """Largest rate in (0, hi] with p(rate) <= epsilon (p nondecreasing)."""
+def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
+    """Largest rate in (0, hi] with p(rate) <= epsilon (p nondecreasing).
+
+    Stops once the bracket is within `_CAP_RTOL` of its upper end, or after
+    `_CAP_ITERS` halvings; with no feasible rate the lower end stays 0, the
+    tolerance never triggers and the cap is 0.
+    """
     if p_of_rate(hi) <= epsilon:
         return hi
     lo_ok = 0.0
     hi_bad = hi
-    for _ in range(iters):
+    for _ in range(_CAP_ITERS):
+        if hi_bad - lo_ok <= _CAP_RTOL * hi_bad:
+            break
         mid = 0.5 * (lo_ok + hi_bad)
         if mid <= 0.0:
             break

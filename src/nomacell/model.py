@@ -174,8 +174,10 @@ class PairConfig:
     def __post_init__(self):
         if not 0.0 < self.beta_k2 < 1.0:
             raise ValueError("beta_k2 must lie strictly inside (0, 1)")
-        if self.R_k < 0 or self.R_kt < 0:
-            raise ValueError("target rates must be nonnegative")
+        # 2^R sets every SINR threshold and must stay a finite float; the
+        # comparison also rejects NaN.
+        if not all(0.0 <= R < 1024.0 for R in (self.R_k, self.R_kt)):
+            raise ValueError("target rates must lie in [0, 1024) bps/Hz")
         if self.d_k <= 0 or self.d_kt <= 0:
             raise ValueError("distances must be positive")
         if self.r_k >= self.r_kt:

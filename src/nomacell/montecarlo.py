@@ -108,14 +108,17 @@ def _interference(rng: np.random.Generator, params: NetworkParams, n: int,
     trial = np.repeat(np.arange(n), counts)
     r = W * np.sqrt(rng.random(total))
     phi = rng.uniform(0.0, 2.0 * math.pi, size=total)
-    x, y = r * np.cos(phi), r * np.sin(phi)
+    # Squared distance from a user at (d, 0) by the law of cosines, written
+    # as (r - d)^2 + 4 r d sin^2(phi / 2): a sum of two nonnegative terms,
+    # each to full relative precision even for a point next to the user.
+    four_r_hav = 4.0 * r * np.sin(0.5 * phi) ** 2
     sums = []
     for d in (d_near, d_far):
         offs = d[trial] if np.ndim(d) else d
-        dist = np.hypot(x - offs, y)
-        w = dist ** (-params.alpha)
+        dist2 = (r - offs) ** 2 + offs * four_r_hav
+        w = dist2 ** (-0.5 * params.alpha)
         if exclusion == "serving":
-            w = np.where(dist < offs, 0.0, w)
+            w = np.where(dist2 < offs * offs, 0.0, w)
         elif exclusion != "none":
             raise ValueError(f"unknown exclusion rule {exclusion!r}")
         sums.append(np.bincount(trial, weights=w, minlength=n))

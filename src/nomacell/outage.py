@@ -186,10 +186,13 @@ def _concentration_margin(zeta2: np.ndarray, delta: np.ndarray, tau: float):
 
 def _interference_phi(omega: float, d: float, params: NetworkParams):
     """Interference factor of the conditional transforms; the second return
-    marks an interference-free network (constant factor 1)."""
+    marks an interference-free network, where the factor is the constant 1
+    (exactly what exp(-0 s^(2/alpha)) gives, without the complex power)."""
     expo = 2.0 / params.alpha
     coeff = math.pi * params.lambda_b * omega * d * d
-    return (lambda s: np.exp(-coeff * s ** expo)), coeff == 0.0
+    if coeff == 0.0:
+        return (lambda s: 1.0), True
+    return (lambda s: np.exp(-coeff * s ** expo)), False
 
 
 def _clamp(raw: float, flag: str | None = None) -> OutageResult:
@@ -254,7 +257,9 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
 
     The diagonal scaling matrices of the two stacked quadratic forms enter
     only through a handful of projections onto the error eigenbasis, which
-    are precomputed so the transform evaluates on full grids at once.
+    are precomputed.  The transform then loops over the K eigencomponents,
+    each term evaluated on a whole (s, t) grid at once, accumulating the
+    exponent and the product s t prod_i (1 + (s + t) delta_i).
     `phi_of_sum` maps the combined variable s + t to the interference (or
     distance-averaged) factor.
     """
@@ -274,13 +279,16 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
         s = np.asarray(s, dtype=complex)
         t = np.asarray(t, dtype=complex)
         u = s + t
-        phi_int = phi_of_sum(u)
-        u_exp = u[..., None]
-        denom = 1.0 + u_exp * delta
-        left = u_exp * p_proj + (s * b2)[..., None] * r_proj
-        right = delta * (s * bt2 + t)[..., None] * q_proj + w_proj
-        quad = np.sum(left * right / denom, axis=-1)
-        return np.exp(-quad) * phi_int / (s * t * np.prod(denom, axis=-1))
+        s_b2 = s * b2
+        s_bt2_t = s * bt2 + t
+        quad, den = 0.0, s * t
+        for i in range(eff.K):
+            denom = 1.0 + u * delta[i]
+            left = u * p_proj[i] + s_b2 * r_proj[i]
+            right = delta[i] * s_bt2_t * q_proj[i] + w_proj[i]
+            quad = quad + left * right / denom
+            den = den * denom
+        return np.exp(-quad) * phi_of_sum(u) / den
 
     return F
 

@@ -176,6 +176,10 @@ BAD_CONFIGS = [
                  "kappa = 1.0", id="kappa-sweep"),
     pytest.param("sweep.values = -0.5, 0.5\n", "rate_far = -0.5",
                  id="rate-sweep"),
+    pytest.param("sweep.values = nan, 0.5\n", "rate_far = nan",
+                 id="rate-sweep-nan"),
+    pytest.param("sweep.values = 2000\n", "rate_far = 2000.0",
+                 id="rate-sweep-overflow"),
     pytest.param("sweep.axis = lambda_b\nsweep.values = -1e-5, 1e-5\n",
                  "lambda_b = -1e-05", id="lambda_b-sweep"),
     pytest.param("design = bogus\n", "bogus", id="design"),

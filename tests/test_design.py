@@ -8,7 +8,7 @@ from nomacell import (NetworkParams, PairConfig, alignment_nullspace,
                       baseline_goodput, build_precoder, build_scenario,
                       choose_receiver_combining, far_outage_conditional,
                       maximize_goodput, near_outage_conditional_approx)
-from nomacell.design import _single_stream_goodput
+from nomacell.design import _bisect_rate_cap, _single_stream_goodput
 
 
 def _draw_channels(rng, K=2, N=2, M=3):
@@ -163,6 +163,32 @@ class TestGoodput:
                               k_factor_db=60.0, seed=20240717).link(1)
         total = _goodput(link, params)
         assert total == pytest.approx(0.9, abs=1e-3)
+
+
+class TestBisectRateCap:
+    def _midpoints(self, edge, hi=64.0, epsilon=0.01):
+        """Cap of a step outage with its edge at `edge`, and the rates it
+        evaluated below `hi`."""
+        rates = []
+
+        def p(R):
+            rates.append(R)
+            return 1.0 if R > edge else 0.0
+
+        cap = _bisect_rate_cap(p, epsilon, hi)
+        return cap, [R for R in rates if R < hi]
+
+    def test_stops_at_the_relative_tolerance(self):
+        cap, mids = self._midpoints(0.0227)
+        assert cap <= 0.0227
+        bad = min(R for R in mids if R > 0.0227)
+        assert bad - cap <= 1e-9 * bad
+        assert len(mids) <= 42
+
+    def test_no_feasible_rate_gives_zero_after_the_iteration_cap(self):
+        cap, mids = self._midpoints(-1.0)
+        assert cap == 0.0
+        assert len(mids) == 60
 
 
 class TestMaximizeGoodput:

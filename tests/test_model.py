@@ -140,6 +140,14 @@ class TestParams:
         with pytest.raises(ValueError):
             PairConfig(r_k=3, r_kt=2)
 
+    @pytest.mark.parametrize("rates", [{"R_kt": math.nan}, {"R_k": math.inf},
+                                       {"R_kt": 2000.0}, {"R_k": 1024.0},
+                                       {"R_k": -0.5}])
+    def test_rates_outside_the_finite_threshold_range_rejected(self, rates):
+        with pytest.raises(ValueError, match="target rates"):
+            PairConfig(**rates)
+        assert PairConfig(R_k=1023.0).R_k == 1023.0
+
     def test_pair_feasibility_flag(self):
         assert PairConfig(beta_k2=0.3, R_kt=0.5).feasible
         assert not PairConfig(beta_k2=0.9, R_kt=3.0).feasible

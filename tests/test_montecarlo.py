@@ -8,7 +8,8 @@ from nomacell import (NetworkParams, PairConfig, build_scenario,
                       estimate_goodput, estimate_outage, far_outage_conditional,
                       near_outage_conditional_approx,
                       near_outage_conditional_exact)
-from nomacell.montecarlo import _chunk_counts, _sinr_pair
+from nomacell import montecarlo
+from nomacell.montecarlo import _chunk_counts, _interference, _sinr_pair
 
 
 def _hand_sinrs(V, u_n, u_f, Hn_hat, Hf_hat, E_n, E_f, pair, dists, params):
@@ -104,6 +105,52 @@ class TestSinrTriplet:
         zero_rho = _sinrs(sc, replace(table_params, rho_I=0.0), E, E,
                           np.array([200.0]))
         assert no_points == pytest.approx(zero_rho, rel=1e-14)
+
+
+def _cartesian_interference(rng, params, n, d_near, d_far, window_radius,
+                            exclusion):
+    """The interferer field from Cartesian points and np.hypot distances,
+    with the same draws in the same order as `_interference`."""
+    W = min(window_radius, math.sqrt(montecarlo._MAX_MEAN_POINTS
+                                     / (params.lambda_b * math.pi)))
+    counts = rng.poisson(params.lambda_b * math.pi * W * W, size=n)
+    total = int(counts.sum())
+    trial = np.repeat(np.arange(n), counts)
+    r = W * np.sqrt(rng.random(total))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=total)
+    x, y = r * np.cos(phi), r * np.sin(phi)
+    sums = []
+    for d in (d_near, d_far):
+        offs = d[trial] if np.ndim(d) else d
+        dist = np.hypot(x - offs, y)
+        w = np.where((exclusion == "serving") & (dist < offs), 0.0,
+                     dist ** (-params.alpha))
+        sums.append(np.bincount(trial, weights=w, minlength=n))
+    return sums[0], sums[1]
+
+
+class TestInterfererField:
+    @pytest.mark.parametrize("exclusion", ["none", "serving"])
+    @pytest.mark.parametrize("mode", ["conditional", "average-distance"])
+    def test_matches_cartesian_form(self, monkeypatch, mode, exclusion):
+        params = NetworkParams(lambda_b=1e-5)
+        sc = build_scenario(params, PairConfig(), seed=20240717)
+        d_near, d_far = montecarlo._draw_distances(
+            mode, sc.link(1).pair, params, np.random.default_rng(4), 2000)
+        args = (params, 2000, d_near, d_far, 5000.0, exclusion)
+        got = _interference(np.random.default_rng(3), *args)
+        want = _cartesian_interference(np.random.default_rng(3), *args)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+        def counts():
+            return _chunk_counts(sc, mode, 2000, np.random.default_rng(3), 1,
+                                 5000.0, exclusion)
+
+        fast = counts()
+        monkeypatch.setattr(montecarlo, "_interference",
+                            _cartesian_interference)
+        assert np.array_equal(fast, counts())
 
 
 class TestEstimateOutage:

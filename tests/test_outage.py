@@ -386,3 +386,64 @@ def test_shared_shortcuts(monkeypatch, case, op, lambda_b, kdb, edit_link,
     pair = edit_pair(link.pair) if edit_pair else link.pair
     res = _OPERATORS[op](link, pair, params)
     assert (res.probability, res.raw, res.flag) == want
+
+
+def _broadcast_joint_transform(eff, pair, phi_of_sum):
+    """The near-joint transform as one broadcast over a trailing length-K
+    eigen axis; the per-component loop must match it to rounding."""
+    mu, delta, Psi = eff.mu, eff.delta, eff.Psi
+    b2, bt2 = pair.beta_k2, pair.beta_kt2
+    k = eff.stream
+    mask = np.arange(eff.K) != k
+    p_proj = mu[mask].conj() @ Psi[mask, :]
+    r_proj = mu[k].conjugate() * Psi[k, :]
+    q_proj = Psi[k, :].conj() * mu[k]
+    w_proj = Psi.conj().T @ mu
+
+    def F(s, t):
+        u = s + t
+        u_exp = u[..., None]
+        denom = 1.0 + u_exp * delta
+        left = u_exp * p_proj + (s * b2)[..., None] * r_proj
+        right = delta * (s * bt2 + t)[..., None] * q_proj + w_proj
+        quad = np.sum(left * right / denom, axis=-1)
+        return (np.exp(-quad) * phi_of_sum(u)
+                / (s * t * np.prod(denom, axis=-1)))
+
+    return F
+
+
+@pytest.mark.parametrize("K, M, N, lambda_b, average", [
+    (2, 3, 2, 1e-5, False), (2, 3, 2, 1e-7, False), (2, 3, 2, 0.0, False),
+    (3, 4, 3, 1e-5, False), (3, 4, 3, 0.0, False), (2, 3, 2, 1e-5, True)])
+def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
+                                                average):
+    # on the grids invert_2d builds, for every pair (so the own stream is
+    # not always the first) and through the average's anti-diagonal factor
+    params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
+    sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
+                        policy=_RANDOM)
+    joint, grids = outage._near_joint_transform, []
+
+    def recording(eff, pair, phi):
+        F, ref = joint(eff, pair, phi), _broadcast_joint_transform(eff, pair,
+                                                                   phi)
+
+        def both(s, t):
+            got = F(s, t)
+            grids.append((got, ref(s, t)))
+            return got
+
+        return both
+
+    monkeypatch.setattr(outage, "_near_joint_transform", recording)
+    for link in sc.links[:1] if average else sc.links:
+        for r in (0.25, 0.75):
+            pair = link.pair.with_rates(R_k=2 * r, R_kt=r)
+            if average:
+                near_outage_average(link.eff_near, pair, params, _RANDOM)
+            else:
+                near_outage_conditional_exact(link.eff_near, pair, params)
+    assert grids and all(got.shape == (97, 193) for got, _ in grids)
+    for got, want in grids:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
