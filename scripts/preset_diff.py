@@ -1,6 +1,6 @@
 """Regenerate the deterministic preset CSVs of a checkout, and compare two sets.
 
-    python scripts/preset_diff.py generate OUT [--checkout DIR] [--jobs N]
+    python scripts/preset_diff.py generate OUT [--checkout DIR]
     python scripts/preset_diff.py diff OLD NEW
 
 `generate` writes the 23 `--deterministic` CSVs (`analyze` fig1-fig6 with
@@ -20,7 +20,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 RUNS = (
@@ -32,7 +31,7 @@ RUNS = (
 )
 
 
-def generate(out: Path, checkout: Path, jobs: int) -> int:
+def generate(out: Path, checkout: Path) -> int:
     src = checkout / "src"
     if not (src / "nomacell" / "__init__.py").is_file():
         print(f"error: no library source at {src / 'nomacell'}", file=sys.stderr)
@@ -41,21 +40,16 @@ def generate(out: Path, checkout: Path, jobs: int) -> int:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(run):
-        command, preset, extra = run
+    failed = 0
+    for command, preset, extra in RUNS:
         proc = subprocess.run(
             [sys.executable, "-m", "nomacell.cli", command, preset,
              "--out", str(out), "--deterministic", *extra],
             env=env, capture_output=True, text=True)
-        return run, proc
-
-    failed = 0
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for (command, preset, _), proc in pool.map(one, RUNS):
-            print(f"{command} {preset}: exit {proc.returncode}")
-            if proc.returncode != 0:
-                failed += 1
-                print(proc.stdout + proc.stderr, file=sys.stderr)
+        print(f"{command} {preset}: exit {proc.returncode}")
+        if proc.returncode != 0:
+            failed += 1
+            print(proc.stdout + proc.stderr, file=sys.stderr)
     print(f"{len(list(out.glob('*.csv')))} CSVs in {out}")
     return 1 if failed else 0
 
@@ -125,14 +119,12 @@ def main(argv=None) -> int:
     gen.add_argument("out", type=Path)
     gen.add_argument("--checkout", type=Path,
                      default=Path(__file__).resolve().parent.parent)
-    gen.add_argument("--jobs", type=int, default=1)
     cmp_ = sub.add_parser("diff", help="compare two directories of CSVs")
     cmp_.add_argument("old", type=Path)
     cmp_.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     if args.command == "generate":
-        return generate(args.out.resolve(), args.checkout.resolve(),
-                        max(args.jobs, 1))
+        return generate(args.out.resolve(), args.checkout.resolve())
     return diff(args.old, args.new)
 
 

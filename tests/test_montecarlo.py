@@ -130,10 +130,14 @@ def _cartesian_interference(rng, params, n, d_near, d_far, window_radius,
 
 
 class TestInterfererField:
+    # At lambda_b = 1e-4 points lie close enough to the users that writing
+    # the squared distance as 2 r d (1 - cos phi) would miss rel 1e-12.
+    @pytest.mark.parametrize("lambda_b", [1e-5, 1e-4])
     @pytest.mark.parametrize("exclusion", ["none", "serving"])
     @pytest.mark.parametrize("mode", ["conditional", "average-distance"])
-    def test_matches_cartesian_form(self, monkeypatch, mode, exclusion):
-        params = NetworkParams(lambda_b=1e-5)
+    def test_matches_cartesian_form(self, monkeypatch, mode, exclusion,
+                                    lambda_b):
+        params = NetworkParams(lambda_b=lambda_b)
         sc = build_scenario(params, PairConfig(), seed=20240717)
         d_near, d_far = montecarlo._draw_distances(
             mode, sc.link(1).pair, params, np.random.default_rng(4), 2000)
