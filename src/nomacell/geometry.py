@@ -1,13 +1,12 @@
 """Stochastic-geometry layer: serving-distance laws, the PPP interference
 coefficient and the Laplace-functional machinery behind the grouping-policy
-averages."""
+averages, whose distance integrals use one exp-sinh rule on a rotated ray."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import comb, gamma
 
 from .model import NetworkParams
@@ -113,44 +112,58 @@ def distance_mixture(rank: int, n_total: int) -> list[tuple[float, int]]:
     return terms
 
 
-def _mixture_term(a_scaled: complex, b: complex, alpha: float) -> complex:
-    """One normalized mixture integral: int_0^inf exp(-a*z^(alpha/2) - b*z) dz.
+def _exp_sinh_nodes(step: float):
+    """Exp-sinh rule x = exp(pi/2 sinh t) on [0, inf): nodes and weights for
+    t from -4.5 (x = 2e-31) in steps of `step` up to x = 1e3."""
+    t = np.arange(-4.5, math.asinh(math.log(1e3) / (0.5 * math.pi)), step)
+    x = np.exp(0.5 * math.pi * np.sinh(t))
+    return x, step * 0.5 * math.pi * np.cosh(t) * x
 
-    `a_scaled` carries the noise contribution (zero in the
-    interference-limited regime, where the closed form 1/b applies).
+
+# 214 nodes; a quarter step moves no tested integral by over 1.2e-15 relative
+# (alpha 2.05 to 6).  The scaled integrand is below exp(-x / sqrt(2)), x >= 1.
+_STEP = 1.0 / 32.0
+_NODES = _exp_sinh_nodes(_STEP)
+
+
+def _mixture_integral(a, b, p: float, nodes=_NODES):
+    """int_0^inf exp(-a z^p - b z) dz, elementwise over complex a and b.
+
+    The contour turns onto the ray z = r e^{-i phi}, phi = (arg a + arg b)
+    / (1 + p).  For a = const * s and arg b between 0 and arg s / p, both
+    rotated coefficients keep |arg| <= |arg s| / (1 + p) < pi / (2 + alpha):
+    the rotation is exact (Cauchy) and the integrand decays without
+    oscillating.  The ray is scaled by sigma = max(|b|, |a|^(1/p)).
     """
-    if a_scaled == 0:
-        return 1.0 / b
-    decay = min(b.real, 1.0)
-    z_max = 45.0 / decay
-    val, _ = quad(lambda z: np.exp(-a_scaled * z ** (alpha / 2.0) - b * z),
-                  0.0, z_max, complex_func=True, limit=200)
-    return val
+    x, w = nodes
+    phi = (np.angle(a) + np.angle(b)) / (1.0 + p)
+    sigma = np.maximum(np.abs(b), np.abs(a) ** (1.0 / p))
+    a_rot = (a * np.exp(-1j * p * phi) / sigma ** p)[..., None]
+    b_rot = (b * np.exp(-1j * phi) / sigma)[..., None]
+    vals = np.exp(-a_rot * x ** p - b_rot * x) @ w
+    return np.exp(-1j * phi) / sigma * vals
 
 
-def policy_laplace_factor(s: complex, mixture: list[tuple[float, int]],
+def policy_laplace_factor(s, mixture: list[tuple[float, int]],
                           omega: float, sigma_u2: float,
-                          params: NetworkParams) -> complex:
+                          params: NetworkParams):
     """Distance-averaged success factor of the outage transforms.
 
     Evaluates E_d{ exp(-(sigma_u2 / P) * s * d^alpha
                         - pi * lambda_b * omega * d^2 * s^(2/alpha)) }
-    for a signed exponential mixture of squared-distance laws; `s` may be
-    complex with Re(s) > 0.  Noise-free input short-circuits to the
-    interference-limited closed form.
+    for a signed exponential mixture of squared-distance laws, elementwise
+    over `s` with Re(s) >= 0 (a scalar gives a scalar).  Each term is
+    int_0^inf exp(-a z^(alpha/2) - b z) dz: `_mixture_integral` for all
+    terms and all s in one pass, or the closed form 1 / b where a = 0.
     """
     c, lam, alpha = params.c, params.lambda_b, params.alpha
     if lam <= 0:
         raise ValueError("distance averaging requires lambda_b > 0")
-    s_frac = s ** (2.0 / alpha)
-    base_rate = c * lam * math.pi
-    a_scaled = (sigma_u2 / params.P) * s / base_rate ** (alpha / 2.0)
-    # Below this the noise exponent is indistinguishable from zero at the
-    # quadrature tolerance: fall through to the interference-limited form.
-    if abs(a_scaled) < 1e-14:
-        a_scaled = 0.0
-    total = 0.0 + 0.0j
-    for coeff, m in mixture:
-        b = m + omega * s_frac / c
-        total += coeff * _mixture_term(a_scaled, b, alpha)
-    return total
+    s = np.asarray(s, dtype=complex)
+    coeff, m = np.array(mixture, dtype=float).T.reshape((2, -1) + (1,) * s.ndim)
+    b = m + omega * s ** (2.0 / alpha) / c
+    terms = 1.0 / b
+    if sigma_u2 > 0:
+        a = (sigma_u2 / params.P) * s / (c * lam * math.pi) ** (alpha / 2.0)
+        terms = np.where(a == 0, terms, _mixture_integral(a, b, alpha / 2.0))
+    return np.sum(coeff * terms, axis=0)[()]

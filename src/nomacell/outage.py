@@ -245,9 +245,7 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
 
     def phi(s):
-        s = np.atleast_1d(np.asarray(s, dtype=complex))
-        return np.array([policy_laplace_factor(si, mixture, eff.omega,
-                                               sigma_u2, params) for si in s])
+        return policy_laplace_factor(s, mixture, eff.omega, sigma_u2, params)
 
     return _outage(eff, pair, (_far_stage(eff, pair, 0.0),), phi, False, cfg)
 
@@ -294,15 +292,14 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
 
 
 def _phi_on_unique(fn):
-    """Wrap a scalar function of s + t so grid evaluation hits each distinct
-    anti-diagonal value once (real part is constant on the grid)."""
+    """Wrap an elementwise function of s + t so grid evaluation hits each
+    distinct anti-diagonal value once (real part is constant on the grid)."""
     def apply(u):
         u = np.asarray(u, dtype=complex)
         keys = np.round(u.imag, 9).reshape(-1)
         _, first_idx, inverse = np.unique(keys, return_index=True,
                                           return_inverse=True)
-        flat = u.reshape(-1)
-        vals = np.array([fn(ui) for ui in flat[first_idx]])
+        vals = fn(u.reshape(-1)[first_idx])
         return vals[inverse.reshape(-1)].reshape(u.shape)
 
     return apply

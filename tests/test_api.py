@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import nomacell
 
@@ -14,3 +18,13 @@ def test_package_names_are_the_submodule_exports():
     submodules = {mod.__name__.rpartition(".")[2] for mod in modules}
     public = {name for name in vars(nomacell) if not name.startswith("_")}
     assert public == exported | submodules
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the distance average has its own quadrature rule; scipy.integrate
+    # would add ~0.3 s and ~25 MB to every import
+    env = dict(os.environ, PYTHONPATH=str(Path(nomacell.__file__).parents[1]))
+    code = "import sys, nomacell; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

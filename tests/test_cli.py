@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -245,6 +246,23 @@ class TestMain:
         files = sorted((tmp_path / "r").glob("*.csv"))
         assert any("exact" in f.name for f in files)
         assert any("asymptotic" in f.name for f in files)
+
+    @pytest.mark.parametrize("line", ["network.alpha = 2.05",
+                                      "network.sigma2_dbm = -inf"])
+    def test_average_mode_boundaries(self, tmp_path, line):
+        # alpha -> 2 is the distance average's hardest exponent (z^1.025
+        # against z); a noise-free network takes its closed form
+        text = (f"mode = average\ngrouping = both\nsweep.values = 0.25, 1.0\n"
+                f"methods = exact\n{line}\nout = {tmp_path}/b\n")
+        assert main(["analyze", str(_write(tmp_path, text)),
+                     "--deterministic"]) == 0
+        paths = sorted((tmp_path / "b").glob("*.csv"))
+        assert len(paths) == 2
+        for path in paths:
+            rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(r[1])) and math.isfinite(float(r[2]))
+                       for r in rows)
 
     def test_fig1_near_user_ordering(self, tmp_path):
         # the Monte Carlo near-user column sits below the approximation at

@@ -4,16 +4,31 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfcx
 from scipy.stats import kstest
 
 from nomacell import (GroupingPolicy, NetworkParams, distance_mixture,
                       interference_coefficient, ordered_distance_pdf,
                       policy_laplace_factor, sample_serving_distances,
                       serving_distance_cdf, serving_distance_pdf)
+from nomacell.geometry import _STEP, _exp_sinh_nodes, _mixture_integral
 from nomacell.montecarlo import _MAX_MEAN_POINTS, _interference
 
 # 1% two-sided Kolmogorov-Smirnov critical value factor
 KS_1PC = 1.628
+
+
+def _mixture_arguments(alpha, n, rng, s_decades=(-3.0, 4.0),
+                       ratio_decades=(-12.0, 6.0), max_arg=0.499 * math.pi):
+    """(a, b) of the mixture integral as `policy_laplace_factor` forms
+    them: b = m + omega s^(2/alpha) and a = r |b|^(alpha/2) e^(i arg s),
+    with the noise-to-distance ratio r log-uniform over `ratio_decades`."""
+    s = (10.0 ** rng.uniform(*s_decades, n)
+         * np.exp(1j * rng.uniform(-max_arg, max_arg, n)))
+    b = rng.integers(1, 7, n) + 10.0 ** rng.uniform(-2, 1, n) * s ** (2 / alpha)
+    a = (10.0 ** rng.uniform(*ratio_decades, n) * np.abs(b) ** (alpha / 2)
+         * np.exp(1j * np.angle(s)))
+    return a, b
 
 
 class TestServingDistance:
@@ -203,6 +218,58 @@ class TestPolicyFactor:
             val = policy_laplace_factor(0.0, mixture, omega=0.8,
                                         sigma_u2=0.0, params=table_params)
             assert val == pytest.approx(1.0, abs=1e-12)
+
+    def test_normalization_at_zero_with_noise(self, table_params):
+        # s = 0 zeroes the noise coefficient too, alone or inside an array
+        mixture = distance_mixture(2, 4)
+        vals = policy_laplace_factor(np.array([0.0, 1.0 + 2.0j]), mixture,
+                                     0.8, table_params.sigma2, table_params)
+        assert vals[0] == 1.0
+        assert policy_laplace_factor(0.0, mixture, 0.8, table_params.sigma2,
+                                     table_params) == 1.0
+
+    def test_array_matches_scalar_calls(self, table_params, rng):
+        mixture = distance_mixture(2, 4)
+        s = (10.0 ** rng.uniform(-2, 3, (3, 5))
+             * np.exp(1j * rng.uniform(-1.5, 1.5, (3, 5))))
+        for sigma_u2 in (0.0, table_params.sigma2 * 0.7):
+            got = policy_laplace_factor(s, mixture, 0.5, sigma_u2, table_params)
+            assert got.shape == s.shape
+            want = [policy_laplace_factor(si, mixture, 0.5, sigma_u2,
+                                          table_params) for si in s.ravel()]
+            assert np.allclose(got.ravel(), want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("alpha", (2.05, 3.5, 6.0))
+    def test_rule_converged_at_its_step(self, alpha):
+        # the exp-sinh rule agrees with itself at a quarter of its step over
+        # contour angles up to 0.499 pi and noise ratios 1e-12 .. 1e6; a
+        # rotation onto the dominant term alone misses this by 1e-6 .. 1e-3
+        a, b = _mixture_arguments(alpha, 2000, np.random.default_rng(41))
+        fine = _mixture_integral(a, b, alpha / 2, _exp_sinh_nodes(_STEP / 4))
+        got = _mixture_integral(a, b, alpha / 2)
+        assert np.max(np.abs(got - fine) / np.abs(fine)) < 1e-13
+
+    def test_rule_matches_gaussian_closed_form(self):
+        # alpha = 4: int exp(-a z^2 - b z) dz = sqrt(pi / a) erfcx(w) / 2
+        # with w = b / (2 sqrt(a)), over the whole argument table
+        a, b = _mixture_arguments(4.0, 2000, np.random.default_rng(43))
+        want = 0.5 * np.sqrt(math.pi / a) * erfcx(b / (2.0 * np.sqrt(a)))
+        got = _mixture_integral(a, b, 2.0)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", (2.05, 3.5, 6.0))
+    def test_rule_matches_real_axis_quadrature(self, alpha):
+        # oracle without the rotation, at moderate arguments where the
+        # integrand oscillates slowly on the real axis
+        a, b = _mixture_arguments(alpha, 12, np.random.default_rng(47),
+                                  s_decades=(-1.0, 1.5), ratio_decades=(-3, 1),
+                                  max_arg=0.45 * math.pi)
+        got = _mixture_integral(a, b, alpha / 2)
+        for ai, bi, gi in zip(a, b, got):
+            want, _ = quad(lambda z: np.exp(-ai * z ** (alpha / 2) - bi * z),
+                           0.0, np.inf, complex_func=True, epsabs=1e-15,
+                           epsrel=1e-13, limit=500)
+            assert abs(gi - want) < 1e-12
 
     def test_mixture_weights_sum_to_one(self):
         for rank, total in ((1, 2), (2, 2), (1, 4), (2, 4), (3, 4), (4, 4)):

@@ -321,6 +321,32 @@ class TestAverageOutage:
                          1.0, 2500.0, limit=200)
         assert abs(avg - want) <= 5e-6 + 10 * err
 
+    @pytest.mark.parametrize("policy, lambda_b, R_kt", [
+        # a distance-policy point that moved by ~1e-4 under A = 20 when
+        # the mixture integrals came from adaptive quadrature
+        ("distance", 4.105e-7, 0.3557),
+        ("random", 1e-7, 0.3), ("random", 1e-6, 1.4), ("random", 1e-5, 0.8),
+        ("random", 1e-4, 0.5), ("random", 1e-3, 1.2),
+        ("distance", 1e-7, 1.1), ("distance", 1e-6, 0.6),
+        ("distance", 1e-5, 1.5), ("distance", 1e-4, 0.25),
+        ("distance", 1e-3, 0.9)])
+    def test_far_average_stable_across_inversion_settings(self, policy,
+                                                          lambda_b, R_kt):
+        # the Euler sum multiplies transform error by exp(A / 2), so three
+        # parameter sets agree only if the averaged transform is accurate
+        policy = GroupingPolicy(policy)
+        sc = build_scenario(NetworkParams(), PairConfig(), kappa=0.9,
+                            k_factor_db=15.966882330444335, seed=324949951,
+                            policy=policy)
+        link = sc.with_pair_rates(2.0 * R_kt, R_kt).link(1)
+        params = NetworkParams(lambda_b=lambda_b)
+        raws = [far_outage_average(link.eff_far, link.pair, params, policy,
+                                   cfg).raw
+                for cfg in (Inversion1DConfig(m_euler=20, q=60),
+                            Inversion1DConfig(A=20.0, m_euler=20, q=60),
+                            Inversion1DConfig(A=28.0, m_euler=40, q=200))]
+        assert max(raws) - min(raws) <= 1e-6
+
 
 _RANDOM = GroupingPolicy("random")
 _OPERATORS = {
