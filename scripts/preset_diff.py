@@ -1,7 +1,7 @@
 """Regenerate the deterministic preset CSVs of a checkout, and compare two sets.
 
     python scripts/preset_diff.py generate OUT [--checkout DIR]
-    python scripts/preset_diff.py diff OLD NEW
+    python scripts/preset_diff.py diff OLD NEW [--tol ABS]
 
 `generate` writes the 23 `--deterministic` CSVs (`analyze` fig1-fig6 with
 fig5a/fig5b, `optimize fig7`, `simulate fig1` and `fig3` at `--trials 4000`)
@@ -10,7 +10,8 @@ Each run imports the library from DIR/src in its own interpreter, so the
 checkout need not contain this script.  `diff` prints, per file, whether
 the bytes are identical and otherwise the largest |new - old| of each
 numeric column with the sweep value where it occurs; it exits 1 when a
-file or a row is missing on either side.
+file or a row is missing on either side, or, with `--tol`, when any column
+moves by more than ABS (a changed text field counts as an infinite move).
 """
 from __future__ import annotations
 
@@ -86,7 +87,7 @@ def _column_moves(old_rows, new_rows):
     return moves
 
 
-def diff(old_dir: Path, new_dir: Path) -> int:
+def diff(old_dir: Path, new_dir: Path, tol: float | None = None) -> int:
     old_files = {p.name for p in old_dir.glob("*.csv")}
     new_files = {p.name for p in new_dir.glob("*.csv")}
     status = 0
@@ -109,6 +110,11 @@ def diff(old_dir: Path, new_dir: Path) -> int:
                             for column, (delta, where) in moves.items()
                             if delta > 0.0)
         print(f"{name}: max |delta| {changed or '0 (formatting only)'}")
+        over = [column for column, (delta, _) in moves.items()
+                if tol is not None and delta > tol]
+        if over:
+            print(f"{name}: beyond --tol {tol:g}: {', '.join(over)}")
+            status = 1
     return status
 
 
@@ -122,10 +128,12 @@ def main(argv=None) -> int:
     cmp_ = sub.add_parser("diff", help="compare two directories of CSVs")
     cmp_.add_argument("old", type=Path)
     cmp_.add_argument("new", type=Path)
+    cmp_.add_argument("--tol", type=float, metavar="ABS",
+                      help="also exit 1 when a column moves by more than ABS")
     args = parser.parse_args(argv)
     if args.command == "generate":
         return generate(args.out.resolve(), args.checkout.resolve())
-    return diff(args.old, args.new)
+    return diff(args.old, args.new, args.tol)
 
 
 if __name__ == "__main__":

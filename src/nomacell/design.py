@@ -17,9 +17,13 @@ import numpy as np
 
 from .laplace import Inversion1DConfig, Inversion2DConfig
 from .model import NetworkParams, PairConfig
-from .outage import (EffectiveChannel, far_outage_conditional,
-                     near_outage_conditional_approx, near_outage_conditional_exact,
+from .outage import (EffectiveChannel, _near_exact_evaluator,
+                     far_outage_conditional, near_outage_conditional_approx,
                      single_stream_outage_conditional)
+# Not called here since `maximize_goodput` holds a grid-reusing evaluator,
+# but `perfbench/nomabench/tracing.py` patches every outage site of this
+# module by name.
+from .outage import near_outage_conditional_exact  # noqa: F401
 
 __all__ = [
     "LinearDesign",
@@ -253,20 +257,22 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     pair0 = link.pair
 
     # One memo per outage function, shared by the rate caps, the grid and
-    # the pattern search; every evaluation is a numerical inversion.
+    # the pattern search; every evaluation is a numerical inversion.  The
+    # exact near-user evaluator also reuses its 2D transform grids across
+    # rate points.
     @functools.cache
     def p_far(R_kt):
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
                                       params, cfg).probability
 
+    near_exact = _near_exact_evaluator(link.eff_near, pair0, params, cfg2d)
+
     @functools.cache
     def p_near(R_k, R_kt):
-        pair = pair0.with_rates(R_k, R_kt)
         if near_engine == "exact":
-            return near_outage_conditional_exact(
-                link.eff_near, pair, params, cfg2d).probability
+            return near_exact(R_k, R_kt).probability
         return near_outage_conditional_approx(
-            link.eff_near, pair, params, cfg).probability
+            link.eff_near, pair0.with_rates(R_k, R_kt), params, cfg).probability
 
     split_cap = math.log2(1.0 + 1.0 / pair0.beta_k2) * (1.0 - 1e-9)
     far_cap = _bisect_rate_cap(p_far, min(epsilon, 1.0 - 1e-12), split_cap)

@@ -51,15 +51,17 @@ class Inversion1DConfig:
 class Inversion2DConfig:
     """Trapezoidal 2D inversion parameters.
 
-    The sampling half-periods follow the evaluation point: each axis gets
-    1.25 times its evaluation abscissa (keeping the argument well inside
-    one period even when the two abscissae are far apart);
-    `square_period` ties both axes to the larger one, which keeps the
-    transform arguments constant along anti-diagonals (cheaper for
-    transforms of s + t).  `L` is the series truncation order, `p_eps`
-    the epsilon-extrapolation depth (2 * p_eps + 1 partial sums) and
-    `e_r` the discretization error target fixing the contour abscissae
-    c1, c2.
+    The sampling half-periods follow the evaluation point on a half-octave
+    ladder: each axis gets T = 1.25 * 2^(j/2) for the least integer j with
+    theta / T <= 0.8, so theta / T lies in (0.8 / sqrt(2), 0.8] (keeping
+    the argument well inside one period even when the two abscissae are
+    far apart), and nearby abscissae share one transform grid.
+    `square_period` ties both axes to 1.25 times the larger abscissa, off
+    the ladder, which keeps the transform arguments constant along
+    anti-diagonals (cheaper for transforms of s + t).  `L` is the series
+    truncation order, `p_eps` the epsilon-extrapolation depth
+    (2 * p_eps + 1 partial sums) and `e_r` the discretization error target
+    fixing the contour abscissae c1, c2.
     """
 
     L: int = 80
@@ -77,12 +79,26 @@ class Inversion2DConfig:
         if self.square_period:
             T1 = T2 = 1.25 * max(theta1, theta2)
         else:
-            T1, T2 = 1.25 * theta1, 1.25 * theta2
+            T1, T2 = _ladder_period(theta1), _ladder_period(theta2)
         # exp(-2 T1 c1) = e_r / 100, so the c1 wrap-around stays below e_r.
         c1 = -math.log(0.01 * self.e_r) / (2 * T1)
         xi = math.exp(-2 * T1 * c1)
         c2 = -math.log(self.e_r / (1 - xi)) / (2 * T2)
         return T1, T2, c1, c2
+
+
+def _ladder_period(theta: float) -> float:
+    """Half-period 1.25 * 2^(j/2) of the least integer j with
+    theta / period <= 0.8; the two loops undo rounding in log2."""
+    def period(j):
+        return 1.25 * 2.0 ** (0.5 * j)
+
+    j = math.ceil(2.0 * math.log2(theta))
+    while theta / period(j) > 0.8:
+        j += 1
+    while theta / period(j - 1) <= 0.8:
+        j -= 1
+    return period(j)
 
 
 def invert_1d(transform, tau: float, config: Inversion1DConfig | None = None) -> float:
@@ -149,31 +165,27 @@ def epsilon_accelerate(partial_sums, return_diagnostics: bool = False):
     return value
 
 
-def invert_2d(transform, theta1: float, theta2: float,
-              config: Inversion2DConfig | None = None,
-              full_output: bool = False):
-    """Invert a 2D Laplace transform at (theta1, theta2), both > 0.
+def _transform_grid(transform, periods, cfg: Inversion2DConfig) -> np.ndarray:
+    """Transform values on the (s, t) contour grid of the periods."""
+    T1, T2, c1, c2 = periods
+    n_max = cfg.L + 2 * cfg.p_eps
+    s = c1 + 1j * math.pi * np.arange(0, n_max + 1) / T1
+    t = c2 + 1j * math.pi * np.arange(-n_max, n_max + 1) / T2
+    F = np.asarray(transform(s[:, None], t[None, :]), dtype=complex)
+    if not np.all(np.isfinite(F)):
+        raise FloatingPointError("transform returned non-finite values on the contour")
+    return F
 
-    `transform` is called once with broadcastable complex grids (column of
-    s values, row of t values) and must return the elementwise transform.
-    Tail sums over both indices are extrapolated with the epsilon
-    algorithm using 2 * p_eps + 1 partial sums: one batched call for every
-    row's inner sum, one for the outer sum; `full_output`'s
-    `epsilon_degraded` is true if any of those tables froze.
-    """
-    if theta1 <= 0 or theta2 <= 0:
-        raise ValueError("inversion abscissae must be positive")
-    cfg = config or Inversion2DConfig()
-    T1, T2, c1, c2 = cfg.resolve(theta1, theta2)
+
+def _sum_grid(F: np.ndarray, theta1: float, theta2: float, periods,
+              cfg: Inversion2DConfig) -> tuple[float, bool]:
+    """Epsilon-extrapolated double trapezoid sum of a transform grid at
+    (theta1, theta2), and whether any epsilon table froze."""
+    T1, T2, c1, c2 = periods
     L, P = cfg.L, cfg.p_eps
     n_max = L + 2 * P
     l1 = np.arange(0, n_max + 1)
     l2 = np.arange(-n_max, n_max + 1)
-    s = c1 + 1j * math.pi * l1 / T1
-    t = c2 + 1j * math.pi * l2 / T2
-    F = np.asarray(transform(s[:, None], t[None, :]), dtype=complex)
-    if not np.all(np.isfinite(F)):
-        raise FloatingPointError("transform returned non-finite values on the contour")
     E1 = np.exp(1j * math.pi * l1 * theta1 / T1)
     E2 = np.exp(1j * math.pi * l2 * theta2 / T2)
     W = F * E1[:, None] * E2[None, :]
@@ -191,10 +203,45 @@ def invert_2d(transform, theta1: float, theta2: float,
     rows[1:] += W[1:, zero]
     total, d = epsilon_accelerate(np.cumsum(rows)[L - 1:L + 2 * P],
                                   return_diagnostics=True)
-    degraded |= d
     value = float(math.exp(c1 * theta1 + c2 * theta2) / (4.0 * T1 * T2)
                   * 2.0 * total.real)
+    return value, degraded or d
+
+
+def invert_2d(transform, theta1: float, theta2: float,
+              config: Inversion2DConfig | None = None,
+              full_output: bool = False, grids: dict | None = None):
+    """Invert a 2D Laplace transform at (theta1, theta2), both > 0.
+
+    `transform` is called once with broadcastable complex grids (column of
+    s values, row of t values) and must return the elementwise transform.
+    Tail sums over both indices are extrapolated with the epsilon
+    algorithm using 2 * p_eps + 1 partial sums: one batched call for every
+    row's inner sum, one for the outer sum; `full_output`'s
+    `epsilon_degraded` is true if any of those tables froze.
+
+    `grids`, a dict the caller keeps for this one transform, reuses its
+    grids across abscissae: a grid stored there for the same periods and
+    orders is summed without calling `transform`, and the grid used is
+    (re)inserted last, so the dict runs from least to most recently used.
+    The value is the same either way, bit for bit.
+    """
+    if theta1 <= 0 or theta2 <= 0:
+        raise ValueError("inversion abscissae must be positive")
+    cfg = config or Inversion2DConfig()
+    periods = cfg.resolve(theta1, theta2)
+    if grids is None:
+        F = _transform_grid(transform, periods, cfg)
+    else:
+        key = (cfg.L, cfg.p_eps, *periods)
+        F = grids.pop(key, None)
+        if F is None:
+            F = _transform_grid(transform, periods, cfg)
+            F.flags.writeable = False  # shared by every later inversion
+        grids[key] = F
+    value, degraded = _sum_grid(F, theta1, theta2, periods, cfg)
     if full_output:
+        T1, T2, c1, c2 = periods
         return value, {"epsilon_degraded": degraded, "T1": T1, "T2": T2,
                        "c1": c1, "c2": c2}
     return value

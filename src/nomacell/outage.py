@@ -12,7 +12,7 @@ message) and the own-message stage.  Every stage sits under one
 interference factor phi: the conditional PPP Laplace functional at a fixed
 link distance, or its average over a grouping policy's distance law.
 `_outage` inverts the stages one at a time (their product is the
-stage-independence approximation for the near user); `_near_joint`
+stage-independence approximation for the near user); `_NearJoint`
 inverts the exact joint SIC event in 2D.
 """
 from __future__ import annotations
@@ -305,32 +305,66 @@ def _phi_on_unique(fn):
     return apply
 
 
-def _near_joint(eff: EffectiveChannel, pair: PairConfig, noise: float, phi,
-                trivial: bool, cfg: Inversion2DConfig | None) -> OutageResult:
-    """Outage of the joint (SIC, own-message) success event.
+# Transform grids a near-joint evaluator keeps: one grid is
+# (L + 2 p_eps + 1) x (2 (L + 2 p_eps) + 1) complex, 300 KB at the defaults.
+_MAX_GRIDS = 8
 
+
+class _NearJoint:
+    """Outage of the joint (SIC, own-message) success event of one link at
+    any rates, on its power split, distance and interference factor.
+
+    Calling it with (R_k, R_kt) evaluates the pair at those rates.  The
+    link's 2D transform does not depend on the rates, so the evaluator
+    builds it once and keeps the `_MAX_GRIDS` most recently used transform
+    grids; rates whose abscissae fall on the same period-ladder rungs share
+    a grid, and the value is bit-identical to a fresh evaluation.
     `_outage` decides an infeasible split or a nonpositive abscissa, and
     takes a zero rate, which makes one stage certain and reduces the event
     to the other stage's 1D marginal; without interference, forms far
     outside their spread bands decide the event without inversion.
     """
-    theta_sic, theta_own = _near_abscissae(eff, pair, noise)
-    stages = _near_stages(eff, pair, theta_sic, theta_own)
-    if (not pair.feasible or theta_sic <= 0.0 or theta_own <= 0.0
-            or math.inf in (theta_sic, theta_own)):
-        return _outage(eff, pair, stages, phi, trivial, None)
-    if trivial:
-        certain = [_concentration_margin(_projected_mean(eff, scale),
-                                         eff.delta, tau)
-                   for scale, tau in stages]
-        if 0.0 in certain:
-            return OutageResult(1.0, 1.0)
-        if certain == [1.0, 1.0]:
-            return OutageResult(0.0, 0.0)
-    F = _near_joint_transform(eff, pair, phi)
-    q, info = invert_2d(F, theta_sic, theta_own, cfg, full_output=True)
-    flag = "epsilon_degraded" if info["epsilon_degraded"] else None
-    return _clamp(1.0 - q, flag)
+
+    def __init__(self, eff: EffectiveChannel, pair: PairConfig, noise: float,
+                 phi, trivial: bool, cfg: Inversion2DConfig | None):
+        self.eff, self.pair, self.noise = eff, pair, noise
+        self.phi, self.trivial, self.cfg = phi, trivial, cfg
+        self.transform = None
+        self.grids: dict = {}
+
+    def __call__(self, R_k: float, R_kt: float) -> OutageResult:
+        eff, pair = self.eff, self.pair.with_rates(R_k, R_kt)
+        theta_sic, theta_own = _near_abscissae(eff, pair, self.noise)
+        stages = _near_stages(eff, pair, theta_sic, theta_own)
+        if (not pair.feasible or theta_sic <= 0.0 or theta_own <= 0.0
+                or math.inf in (theta_sic, theta_own)):
+            return _outage(eff, pair, stages, self.phi, self.trivial, None)
+        if self.trivial:
+            certain = [_concentration_margin(_projected_mean(eff, scale),
+                                             eff.delta, tau)
+                       for scale, tau in stages]
+            if 0.0 in certain:
+                return OutageResult(1.0, 1.0)
+            if certain == [1.0, 1.0]:
+                return OutageResult(0.0, 0.0)
+        if self.transform is None:
+            self.transform = _near_joint_transform(eff, pair, self.phi)
+        q, info = invert_2d(self.transform, theta_sic, theta_own, self.cfg,
+                            full_output=True, grids=self.grids)
+        while len(self.grids) > _MAX_GRIDS:
+            del self.grids[next(iter(self.grids))]
+        flag = "epsilon_degraded" if info["epsilon_degraded"] else None
+        return _clamp(1.0 - q, flag)
+
+
+def _near_exact_evaluator(eff: EffectiveChannel, pair: PairConfig,
+                          params: NetworkParams,
+                          cfg: Inversion2DConfig | None = None) -> _NearJoint:
+    """`near_outage_conditional_exact` of one link as a function of
+    (R_k, R_kt) that reuses transform grids across calls."""
+    phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
+    return _NearJoint(eff, pair, eff.noise(pair.d_k, params), phi, trivial,
+                      cfg)
 
 
 def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
@@ -338,9 +372,7 @@ def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
                                   cfg: Inversion2DConfig | None = None
                                   ) -> OutageResult:
     """Near-user outage of the joint (SIC, own-message) success event."""
-    phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    return _near_joint(eff, pair, eff.noise(pair.d_k, params), phi, trivial,
-                       cfg)
+    return _near_exact_evaluator(eff, pair, params, cfg)(pair.R_k, pair.R_kt)
 
 
 def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
@@ -388,4 +420,4 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
     # Tie the sampling periods so the distance functional is evaluated
     # once per anti-diagonal instead of once per grid node.
     cfg = replace(cfg or Inversion2DConfig(), square_period=True)
-    return _near_joint(eff, pair, 0.0, phi, False, cfg)
+    return _NearJoint(eff, pair, 0.0, phi, False, cfg)(pair.R_k, pair.R_kt)

@@ -7,7 +7,9 @@ import pytest
 from nomacell import (NetworkParams, PairConfig, alignment_nullspace,
                       baseline_goodput, build_precoder, build_scenario,
                       choose_receiver_combining, far_outage_conditional,
-                      maximize_goodput, near_outage_conditional_approx)
+                      maximize_goodput, near_outage_conditional_approx,
+                      near_outage_conditional_exact)
+from nomacell import design, outage
 from nomacell.design import _bisect_rate_cap, _single_stream_goodput
 
 
@@ -257,6 +259,58 @@ class TestMaximizeGoodput:
                          for k in range(4) for l in range(4)
                          if np.isfinite(t1[i, j]) and np.isfinite(t2[k, l]))
         assert joint_best == pytest.approx(t1.max() + t2.max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["aligned", "plain"])
+def test_reused_grids_match_fresh_evaluations(monkeypatch, scheme):
+    # every exact near-user value the optimizer used, on the fig7 link at
+    # 20 dB, equals a fresh evaluation bit for bit, and a replay in reverse
+    # order through one evaluator changes none of them
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717, scheme=scheme).link(1)
+    used, factory = {}, design._near_exact_evaluator
+
+    def recording(*args):
+        evaluate = factory(*args)
+
+        def call(R_k, R_kt):
+            used[R_k, R_kt] = evaluate(R_k, R_kt)
+            return used[R_k, R_kt]
+
+        return call
+
+    monkeypatch.setattr(design, "_near_exact_evaluator", recording)
+    maximize_goodput(link, 1e-2, params)
+    monkeypatch.undo()
+
+    def fields(res):
+        return res.probability, res.raw, res.flag
+
+    for (R_k, R_kt), res in used.items():
+        fresh = near_outage_conditional_exact(
+            link.eff_near, link.pair.with_rates(R_k, R_kt), params)
+        assert fields(res) == fields(fresh), (R_k, R_kt)
+
+    built, joint = [], outage._near_joint_transform
+
+    def counting(*args):
+        F = joint(*args)
+
+        def grid(s, t):
+            built.append(s.shape)
+            return F(s, t)
+
+        return grid
+
+    monkeypatch.setattr(outage, "_near_joint_transform", counting)
+    evaluate = outage._near_exact_evaluator(link.eff_near, link.pair, params)
+    alive = 0
+    for (R_k, R_kt), res in reversed(used.items()):
+        assert fields(evaluate(R_k, R_kt)) == fields(res), (R_k, R_kt)
+        alive = max(alive, len(evaluate.grids))
+    assert alive <= outage._MAX_GRIDS
+    assert len(built) <= len(used) / 3
 
 
 class TestBaselines:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from nomacell import (Inversion1DConfig, NetworkParams, build_scenario,
+from nomacell import (Inversion1DConfig, Inversion2DConfig, NetworkParams,
+                      build_scenario,
                       epsilon_accelerate, invert_1d, invert_2d,
                       near_outage_conditional_exact)
 from nomacell import laplace, outage
@@ -202,6 +203,53 @@ class TestInvert2D:
     def test_rejects_nonpositive_abscissae(self):
         with pytest.raises(ValueError):
             invert_2d(lambda s, t: 1 / (s * t), -1.0, 1.0)
+
+    def test_stored_grids_give_the_same_bits(self):
+        # abscissae on one ladder rung share a grid; the dict keeps the most
+        # recently used grid last
+        calls = []
+
+        def F(s, t):
+            calls.append(s.shape)
+            return 1 / (s * t * (1 + s + t))
+
+        grids = {}
+        points = [(1.0, 2.0), (0.9, 1.9), (3.0, 2.0), (0.95, 1.8)]
+        for point in points:
+            cached = invert_2d(F, *point, grids=grids)
+            assert _same_bits(cached, invert_2d(F, *point))
+        assert len(calls) == 2 * len(points) - 2
+        assert len(grids) == 2
+        assert next(reversed(grids))[2:] == Inversion2DConfig().resolve(1.0, 2.0)
+
+
+class TestPeriodLadder:
+    @staticmethod
+    def _abscissae():
+        # exact powers of sqrt(2) and their float neighbours, so rounding in
+        # log2 is exercised, plus a dense geometric sweep
+        rungs = [2.0 ** (0.5 * j) for j in range(-40, 41)]
+        return [*rungs, *np.nextafter(rungs, 0.0), *np.nextafter(rungs, np.inf),
+                *np.geomspace(1e-6, 1e6, 1001)]
+
+    def test_half_periods_sit_on_the_half_octave_ladder(self):
+        cfg = Inversion2DConfig()
+        lowest = 0.8 / math.sqrt(2) * (1 - 1e-12)
+        for theta in self._abscissae():
+            T1, T2, _, _ = cfg.resolve(theta, 1.0 / theta)
+            for th, T in ((theta, T1), (1.0 / theta, T2)):
+                j = round(2 * math.log2(T / 1.25))
+                assert T == 1.25 * 2.0 ** (0.5 * j), th
+                assert lowest < th / T <= 0.8, th
+
+    def test_square_period_keeps_the_larger_abscissa_rule(self):
+        cfg = Inversion2DConfig(square_period=True)
+        for theta1, theta2 in ((0.3, 2.0), (5.0, 1e-3), (1.0, 1.0),
+                               (math.sqrt(2), 0.7), (1.2345, 1.2345)):
+            T = 1.25 * max(theta1, theta2)
+            c1 = -math.log(0.01 * cfg.e_r) / (2 * T)
+            c2 = -math.log(cfg.e_r / (1 - math.exp(-2 * T * c1))) / (2 * T)
+            assert cfg.resolve(theta1, theta2) == (T, T, c1, c2)
 
 
 class TestEpsilonAcceleration:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
-                      NetworkParams, PairConfig, build_scenario,
+                      Inversion2DConfig, NetworkParams, PairConfig, build_scenario,
                       effective_channel, exponential_covariance,
                       far_outage_average,
                       far_outage_conditional, invert_1d, near_outage_average,
@@ -276,6 +276,26 @@ class TestRandomizedInvariants:
                     assert -1e-4 <= res.raw <= 1.0 + 1e-4, \
                         f"raw outside budget in trial {trial}: {res}"
             assert exact.probability <= approx.probability + 2e-4
+
+
+@pytest.mark.parametrize("lambda_b", [1e-5, 1e-7, 0.0])
+def test_near_exact_matches_high_order_inversion(lambda_b):
+    # 20 seeded links per intensity, with random channel quality, error
+    # correlation and rates: the default periods on their half-octave
+    # ladder keep the 2D inversion within 1e-6 of a longer, deeper one
+    rng = np.random.default_rng({1e-5: 700, 1e-7: 701, 0.0: 702}[lambda_b])
+    params = NetworkParams(lambda_b=lambda_b)
+    reference = Inversion2DConfig(L=160, p_eps=10)
+    for _ in range(20):
+        kdb, kappa = float(rng.uniform(15.0, 45.0)), float(rng.uniform(0.0, 0.95))
+        pair = PairConfig(R_kt=float(rng.uniform(0.3, 1.8)),
+                          R_k=float(rng.uniform(0.5, 4.0)))
+        link = build_scenario(params, pair, kappa=kappa, k_factor_db=kdb,
+                              seed=int(rng.integers(2 ** 31))).link(1)
+        got = near_outage_conditional_exact(link.eff_near, link.pair, params)
+        want = near_outage_conditional_exact(link.eff_near, link.pair, params,
+                                             reference)
+        assert abs(got.raw - want.raw) <= 1e-6, (kdb, kappa, pair)
 
 
 class TestAverageOutage:

@@ -35,3 +35,16 @@ def test_diff_fails_on_a_missing_file_or_row(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "a.csv: 2 rows -> 1 rows" in out
     assert "b.csv: missing in" in out
+
+
+def test_diff_tolerance_fails_only_on_a_larger_move(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write(old, "a.csv", "0.25,0.1,0.2,1,exact", "0.5,0.3,0.4,1,exact")
+    _write(new, "a.csv", "0.25,0.1,0.2000004,1,exact", "0.5,0.3,0.4,1,exact")
+    assert preset_diff.main(["diff", str(old), str(new), "--tol", "1e-6"]) == 0
+    assert preset_diff.main(["diff", str(old), str(new), "--tol", "1e-7"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "a.csv: beyond --tol 1e-07: p_near"
+    _write(new, "a.csv", "0.25,0.1,0.2,1,exact", "0.5,0.3,0.4,1,approx")
+    assert preset_diff.diff(old, new) == 0
+    assert preset_diff.diff(old, new, tol=1.0) == 1
