@@ -51,15 +51,12 @@ class Inversion1DConfig:
 class Inversion2DConfig:
     """Trapezoidal 2D inversion parameters.
 
-    The sampling half-periods follow the evaluation point on a half-octave
+    Every inversion takes its sampling half-periods from one half-octave
     ladder: each axis gets T = 1.25 * 2^(j/2) for the least integer j with
     theta / T <= 0.8, so theta / T lies in (0.8 / sqrt(2), 0.8] (keeping
     the argument well inside one period even when the two abscissae are
-    far apart), and nearby abscissae share one transform grid.
-    `square_period` ties both axes to 1.25 times the larger abscissa, off
-    the ladder, which keeps the transform arguments constant along
-    anti-diagonals (cheaper for transforms of s + t).  `L` is the series
-    truncation order, `p_eps` the epsilon-extrapolation depth
+    far apart), and nearby abscissae share one transform grid.  `L` is the
+    series truncation order, `p_eps` the epsilon-extrapolation depth
     (2 * p_eps + 1 partial sums) and `e_r` the discretization error target
     fixing the contour abscissae c1, c2.
     """
@@ -67,7 +64,6 @@ class Inversion2DConfig:
     L: int = 80
     p_eps: int = 8
     e_r: float = 1e-8
-    square_period: bool = False
 
     def __post_init__(self):
         if self.L < 1 or self.p_eps < 1 or not 0 < self.e_r < 1:
@@ -76,10 +72,7 @@ class Inversion2DConfig:
     def resolve(self, theta1: float, theta2: float
                 ) -> tuple[float, float, float, float]:
         """Concrete (T1, T2, c1, c2) for an evaluation point."""
-        if self.square_period:
-            T1 = T2 = 1.25 * max(theta1, theta2)
-        else:
-            T1, T2 = _ladder_period(theta1), _ladder_period(theta2)
+        T1, T2 = _ladder_period(theta1), _ladder_period(theta2)
         # exp(-2 T1 c1) = e_r / 100, so the c1 wrap-around stays below e_r.
         c1 = -math.log(0.01 * self.e_r) / (2 * T1)
         xi = math.exp(-2 * T1 * c1)

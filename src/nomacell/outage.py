@@ -18,7 +18,7 @@ inverts the exact joint SIC event in 2D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,20 +291,6 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
     return F
 
 
-def _phi_on_unique(fn):
-    """Wrap an elementwise function of s + t so grid evaluation hits each
-    distinct anti-diagonal value once (real part is constant on the grid)."""
-    def apply(u):
-        u = np.asarray(u, dtype=complex)
-        keys = np.round(u.imag, 9).reshape(-1)
-        _, first_idx, inverse = np.unique(keys, return_index=True,
-                                          return_inverse=True)
-        vals = fn(u.reshape(-1)[first_idx])
-        return vals[inverse.reshape(-1)].reshape(u.shape)
-
-    return apply
-
-
 # Transform grids a near-joint evaluator keeps: one grid is
 # (L + 2 p_eps + 1) x (2 (L + 2 p_eps) + 1) complex, 300 KB at the defaults.
 _MAX_GRIDS = 8
@@ -411,13 +397,21 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
                         params: NetworkParams, policy: GroupingPolicy,
                         cfg: Inversion2DConfig | None = None,
                         interference_limited: bool = False) -> OutageResult:
-    """Near-user outage averaged over the policy's serving-distance law."""
+    """Near-user outage averaged over the policy's serving-distance law.
+
+    The same joint evaluation as `near_outage_conditional_exact`, with the
+    distance-averaged factor of s + t in place of the conditional one.
+    The factor is evaluated one grid row at a time: on the whole grid, the
+    exp-sinh rule's intermediates (one value per node and grid point)
+    would raise peak memory by about 120 MB.
+    """
     rank = pair.r_k if policy.variant == "distance" else 1
     mixture = distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
-    phi = _phi_on_unique(
-        lambda u: policy_laplace_factor(u, mixture, eff.omega, sigma_u2, params))
-    # Tie the sampling periods so the distance functional is evaluated
-    # once per anti-diagonal instead of once per grid node.
-    cfg = replace(cfg or Inversion2DConfig(), square_period=True)
+
+    def phi(u):
+        return np.stack([policy_laplace_factor(row, mixture, eff.omega,
+                                               sigma_u2, params)
+                         for row in u])
+
     return _NearJoint(eff, pair, 0.0, phi, False, cfg)(pair.R_k, pair.R_kt)

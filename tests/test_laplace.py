@@ -242,15 +242,6 @@ class TestPeriodLadder:
                 assert T == 1.25 * 2.0 ** (0.5 * j), th
                 assert lowest < th / T <= 0.8, th
 
-    def test_square_period_keeps_the_larger_abscissa_rule(self):
-        cfg = Inversion2DConfig(square_period=True)
-        for theta1, theta2 in ((0.3, 2.0), (5.0, 1e-3), (1.0, 1.0),
-                               (math.sqrt(2), 0.7), (1.2345, 1.2345)):
-            T = 1.25 * max(theta1, theta2)
-            c1 = -math.log(0.01 * cfg.e_r) / (2 * T)
-            c2 = -math.log(cfg.e_r / (1 - math.exp(-2 * T * c1))) / (2 * T)
-            assert cfg.resolve(theta1, theta2) == (T, T, c1, c2)
-
 
 class TestEpsilonAcceleration:
     def test_alternating_log_series(self):

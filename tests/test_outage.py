@@ -341,6 +341,62 @@ class TestAverageOutage:
                          1.0, 2500.0, limit=200)
         assert abs(avg - want) <= 5e-6 + 10 * err
 
+    @staticmethod
+    def _fig3_link(params, pair, policy):
+        """The fig3 preset's link at (R_k, R_kt) = (0.5, 0.25)."""
+        sc = build_scenario(params, pair.with_rates(R_k=0.5, R_kt=0.25),
+                            kappa=0.9, k_factor_db=20.0, seed=20240717,
+                            policy=policy)
+        return sc.link(1)
+
+    @pytest.mark.parametrize("variant", ["random", "distance"])
+    def test_near_average_matches_conditional_quadrature(
+            self, table_params, table_pair, variant):
+        # oracle free of the distance-averaged factor: integrate the
+        # conditional joint outage against the near user's distance density
+        # (from 0, where that density is still positive)
+        from scipy.integrate import quad
+        from nomacell import ordered_distance_pdf
+        policy = GroupingPolicy(variant)
+        link = self._fig3_link(table_params, table_pair, policy)
+        p = link.pair
+        avg = near_outage_average(link.eff_near, p, table_params,
+                                  policy).probability
+        rank = p.r_k if variant == "distance" else 1
+        n_total = policy.order_total(table_params.K)
+
+        def integrand(d):
+            pair_d = PairConfig(p.beta_k2, p.R_k, p.R_kt, d, p.d_kt, p.r_k,
+                                p.r_kt)
+            return (near_outage_conditional_exact(link.eff_near, pair_d,
+                                                  table_params).probability
+                    * ordered_distance_pdf(d, rank, n_total, table_params))
+
+        want, err = quad(integrand, 0.0, 2500.0, epsabs=1e-10, limit=200)
+        assert err <= 1e-9
+        assert abs(avg - want) <= 1e-8
+
+    @pytest.mark.parametrize("variant", ["random", "distance"])
+    @pytest.mark.parametrize("R_kt", [0.25, 0.5])
+    def test_near_average_does_not_amplify_rounding(
+            self, monkeypatch, table_params, table_pair, variant, R_kt):
+        # a last-bit change of the averaged factor must stay a last-bit
+        # change of the outage (about 3e-11 measured at these points)
+        policy = GroupingPolicy(variant)
+        link = self._fig3_link(table_params, table_pair, policy)
+        pair = link.pair.with_rates(R_k=2 * R_kt, R_kt=R_kt)
+        factor = outage.policy_laplace_factor
+
+        def p_near(scale):
+            monkeypatch.setattr(outage, "policy_laplace_factor",
+                                lambda *args: factor(*args) * scale)
+            return near_outage_average(link.eff_near, pair, table_params,
+                                       policy).raw
+
+        base = p_near(1.0)
+        for scale in (1 + 1e-15, 1 - 1e-15):
+            assert abs(p_near(scale) - base) <= 1e-9
+
     @pytest.mark.parametrize("policy, lambda_b, R_kt", [
         # a distance-policy point that moved by ~1e-4 under A = 20 when
         # the mixture integrals came from adaptive quadrature
@@ -465,7 +521,7 @@ def _broadcast_joint_transform(eff, pair, phi_of_sum):
 def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
                                                 average):
     # on the grids invert_2d builds, for every pair (so the own stream is
-    # not always the first) and through the average's anti-diagonal factor
+    # not always the first) and through the average's distance factor
     params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
     sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
                         policy=_RANDOM)
