@@ -1,10 +1,10 @@
 """Signal-alignment precoder construction and goodput maximization.
 
 The precoder factorizes as V = L G^-H D: an antenna-selection matrix L
-chosen by brute-force enumeration, the inverse of the aligned effective
-channel G, and a diagonal D normalizing every column to unit norm.  Receive
-filters live in the null space of the stacked per-pair channels so both
-users of a pair see the same effective channel.
+chosen by enumerating the antenna subsets, the inverse of the aligned
+effective channel G, and a diagonal D normalizing every column to unit
+norm.  Receive filters live in the null space of the stacked per-pair
+channels so both users of a pair see the same effective channel.
 """
 from __future__ import annotations
 
@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotic import _golden_min
 from .laplace import Inversion1DConfig, Inversion2DConfig
 from .model import NetworkParams, PairConfig
 from .outage import (EffectiveChannel, _near_exact_evaluator,
-                     far_outage_conditional, near_outage_conditional_approx,
-                     single_stream_outage_conditional)
-# Not called here since `maximize_goodput` holds a grid-reusing evaluator,
-# but `perfbench/nomabench/tracing.py` patches every outage site of this
-# module by name.
-from .outage import near_outage_conditional_exact  # noqa: F401
+                     far_outage_conditional, single_stream_outage_conditional)
+# Neither is called here (`maximize_goodput` holds a grid-reusing evaluator
+# of the exact operator), but `perfbench/nomabench/tracing.py` patches every
+# outage site of this module by name.
+from .outage import (near_outage_conditional_approx,  # noqa: F401
+                     near_outage_conditional_exact)
 
 __all__ = [
     "LinearDesign",
@@ -43,6 +44,10 @@ _SUBSAMPLE = 1000
 # halving cap that ends it when no rate is feasible.
 _CAP_RTOL = 1e-9
 _CAP_ITERS = 60
+# Points per rate axis of the starting grids: the (R_k, R_kt) grid of the
+# pair optimizer, and the rate grid that brackets a single-stream optimum.
+_PAIR_GRID = 14
+_STREAM_GRID = 48
 
 
 @dataclass(frozen=True)
@@ -121,20 +126,23 @@ def choose_receiver_combining(U: np.ndarray, H_near_L: np.ndarray | None = None
     return Vh[0, :].conj()
 
 
-def _selection_matrices(M: int, K: int, rng: np.random.Generator | None):
-    """Antenna-selection candidates: one 1 per column, at most one per row."""
-    total = math.perm(M, K)
-    if total <= _MAX_ENUMERATION:
-        perms = itertools.permutations(range(M), K)
-        return [np.eye(M)[:, list(p)] for p in perms], False
-    rng = rng or np.random.default_rng(0)
-    perms = {tuple(rng.permutation(M)[:K]) for _ in range(_SUBSAMPLE)}
-    return [np.eye(M)[:, list(p)] for p in sorted(perms)], True
+def _selection_matrices(M: int, K: int):
+    """Antenna-selection candidates, one per K-subset of the M antennas.
+
+    Reordering the columns of L only permutes the rows of G: the gains stay
+    and V changes by column phases.  Past `_MAX_ENUMERATION` subsets,
+    `_SUBSAMPLE` random ones are drawn from a fixed seed.
+    """
+    if math.comb(M, K) <= _MAX_ENUMERATION:
+        subsets = itertools.combinations(range(M), K)
+        return [np.eye(M)[:, list(c)] for c in subsets], False
+    rng = np.random.default_rng(0)
+    drawn = {tuple(sorted(rng.permutation(M)[:K])) for _ in range(_SUBSAMPLE)}
+    return [np.eye(M)[:, list(c)] for c in sorted(drawn)], True
 
 
 def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
-                   params: NetworkParams,
-                   rng: np.random.Generator | None = None) -> LinearDesign:
+                   params: NetworkParams) -> LinearDesign:
     """Select the antenna subset maximizing the smallest effective gain.
 
     `channels` lists one (H_near, H_far) known-part pair per NOMA pair.
@@ -144,7 +152,7 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
     K = len(channels)
     if K != params.K:
         raise ValueError("one channel pair per NOMA pair expected")
-    candidates, subsampled = _selection_matrices(params.M, K, rng)
+    candidates, subsampled = _selection_matrices(params.M, K)
     best = None
     for L in candidates:
         filters_n, filters_f, gs, degenerate = [], [], [], False
@@ -235,7 +243,6 @@ def _pattern_search(objective, feasible, x0, caps, step0, steps=60):
 
 def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
                      cfg: Inversion1DConfig | None = None,
-                     grid: int = 14, near_engine: str = "exact",
                      cfg2d: Inversion2DConfig | None = None) -> RateSolution:
     """Per-pair goodput maximization under outage constraints.
 
@@ -243,23 +250,21 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     probabilities staying below epsilon and the power-split feasibility
     strict inequality, by a coarse grid plus pattern-search refinement
     (outage evaluations are numerical inversions, so the solver is
-    derivative-free).  The near-user constraint defaults to the exact joint
-    outage: the decorrelated approximation double-charges the interference
-    budget of the two SIC stages and can push the solution far off the true
-    feasible boundary; pass near_engine="approx" for the cheaper variant.
+    derivative-free).  The near-user constraint is the exact joint outage:
+    the decorrelated approximation double-charges the interference budget
+    of the two SIC stages and can push the solution far off the true
+    feasible boundary.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    if near_engine not in ("exact", "approx"):
-        raise ValueError(f"unknown near-user engine {near_engine!r}")
     cfg = cfg or Inversion1DConfig()
     cfg2d = cfg2d or Inversion2DConfig()
     pair0 = link.pair
 
     # One memo per outage function, shared by the rate caps, the grid and
     # the pattern search; every evaluation is a numerical inversion.  The
-    # exact near-user evaluator also reuses its 2D transform grids across
-    # rate points.
+    # near-user evaluator also reuses its 2D transform grids across rate
+    # points.
     @functools.cache
     def p_far(R_kt):
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
@@ -269,10 +274,7 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
 
     @functools.cache
     def p_near(R_k, R_kt):
-        if near_engine == "exact":
-            return near_exact(R_k, R_kt).probability
-        return near_outage_conditional_approx(
-            link.eff_near, pair0.with_rates(R_k, R_kt), params, cfg).probability
+        return near_exact(R_k, R_kt).probability
 
     split_cap = math.log2(1.0 + 1.0 / pair0.beta_k2) * (1.0 - 1e-9)
     far_cap = _bisect_rate_cap(p_far, min(epsilon, 1.0 - 1e-12), split_cap)
@@ -289,8 +291,8 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
         R_k, R_kt = x
         return p_far(R_kt) <= epsilon and p_near(R_k, R_kt) <= epsilon
 
-    r_k_axis = np.linspace(near_cap / grid, near_cap, grid)
-    r_kt_axis = np.linspace(far_cap / grid, far_cap, grid)
+    r_k_axis = np.linspace(near_cap / _PAIR_GRID, near_cap, _PAIR_GRID)
+    r_kt_axis = np.linspace(far_cap / _PAIR_GRID, far_cap, _PAIR_GRID)
     scored = []
     for R_k in r_k_axis:
         for R_kt in r_kt_axis:
@@ -300,7 +302,7 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     if not scored:
         return RateSolution(0.0, 0.0, 0.0, 1.0, 1.0, feasible=False)
     scored.sort(key=lambda t: -t[0])
-    step0 = (near_cap / grid, far_cap / grid)
+    step0 = (near_cap / _PAIR_GRID, far_cap / _PAIR_GRID)
     x, f = None, -1.0
     for _, start in scored[:3]:
         xs, fs = _pattern_search(objective, feasible, start,
@@ -313,16 +315,18 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
 
 def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
                            epsilon: float, params: NetworkParams,
-                           cfg: Inversion1DConfig | None = None,
-                           grid: int = 48) -> tuple[float, float, float]:
+                           cfg: Inversion1DConfig | None = None
+                           ) -> tuple[float, float, float]:
     """Optimal delivered rate for an orthogonally scheduled user.
 
     The user holds the channel for a `share` fraction of the resource, so a
-    delivered rate R requires decoding at R / share.  Returns
+    delivered rate R requires decoding at R / share.  A grid brackets the
+    goodput's maximum and golden-section search refines it.  Returns
     (R, goodput, outage).
     """
     cfg = cfg or Inversion1DConfig()
 
+    @functools.cache
     def p_of(R):
         return single_stream_outage_conditional(
             eff, R / share, d, params, cfg).probability
@@ -332,26 +336,16 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
     cap = _bisect_rate_cap(p_of, min(epsilon, 1.0 - 1e-12), hard_cap)
     if cap <= 0.0:
         return 0.0, 0.0, 1.0
-    axis = np.linspace(cap / grid, cap, grid)
-    vals = [R * (1.0 - p_of(R)) for R in axis]
-    i = int(np.argmax(vals))
-    lo = axis[max(i - 1, 0)]
-    hi = axis[min(i + 1, grid - 1)]
-    for _ in range(40):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if m1 * (1.0 - p_of(m1)) < m2 * (1.0 - p_of(m2)):
-            lo = m1
-        else:
-            hi = m2
-    R = 0.5 * (lo + hi)
-    return float(R), float(R * (1.0 - p_of(R))), float(p_of(R))
+    axis = np.linspace(cap / _STREAM_GRID, cap, _STREAM_GRID)
+    i = int(np.argmax([R * (1.0 - p_of(R)) for R in axis]))
+    R, f = _golden_min(lambda R: -R * (1.0 - p_of(R)), axis[max(i - 1, 0)],
+                       axis[min(i + 1, _STREAM_GRID - 1)])
+    return float(R), float(-f), float(p_of(R))
 
 
 def baseline_goodput(scheme: str, link: PairLink, epsilon: float,
                      params: NetworkParams,
-                     cfg: Inversion1DConfig | None = None,
-                     near_engine: str = "exact") -> RateSolution:
+                     cfg: Inversion1DConfig | None = None) -> RateSolution:
     """Optimized goodput of a benchmark scheme on the given pair link.
 
     `noma` runs the standard two-user optimization on the supplied link
@@ -359,10 +353,8 @@ def baseline_goodput(scheme: str, link: PairLink, epsilon: float,
     benchmark).  `oma` splits the resource: the near user gets the near
     power share, the far user the complement, each decoding at rate/share.
     """
-    cfg = cfg or Inversion1DConfig()
     if scheme == "noma":
-        return maximize_goodput(link, epsilon, params, cfg,
-                                near_engine=near_engine)
+        return maximize_goodput(link, epsilon, params, cfg)
     if scheme != "oma":
         raise ValueError(f"unknown baseline scheme {scheme!r}")
     pair = link.pair

@@ -201,6 +201,11 @@ def _sum_grid(F: np.ndarray, theta1: float, theta2: float, periods,
     return value, degraded or d
 
 
+# Transform grids a `grids` dict of `invert_2d` keeps: one grid is
+# (L + 2 p_eps + 1) x (2 (L + 2 p_eps) + 1) complex, 300 KB at the defaults.
+_MAX_GRIDS = 8
+
+
 def invert_2d(transform, theta1: float, theta2: float,
               config: Inversion2DConfig | None = None,
               full_output: bool = False, grids: dict | None = None):
@@ -216,8 +221,9 @@ def invert_2d(transform, theta1: float, theta2: float,
     `grids`, a dict the caller keeps for this one transform, reuses its
     grids across abscissae: a grid stored there for the same periods and
     orders is summed without calling `transform`, and the grid used is
-    (re)inserted last, so the dict runs from least to most recently used.
-    The value is the same either way, bit for bit.
+    (re)inserted last, so the dict runs from least to most recently used;
+    past `_MAX_GRIDS` grids the least recently used go.  The value is the
+    same either way, bit for bit.
     """
     if theta1 <= 0 or theta2 <= 0:
         raise ValueError("inversion abscissae must be positive")
@@ -232,6 +238,8 @@ def invert_2d(transform, theta1: float, theta2: float,
             F = _transform_grid(transform, periods, cfg)
             F.flags.writeable = False  # shared by every later inversion
         grids[key] = F
+        while len(grids) > _MAX_GRIDS:
+            del grids[next(iter(grids))]
     value, degraded = _sum_grid(F, theta1, theta2, periods, cfg)
     if full_output:
         T1, T2, c1, c2 = periods

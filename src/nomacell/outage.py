@@ -112,8 +112,10 @@ def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
 
 
 def _inv_snr_gap(rate: float) -> float:
-    """1 / (2^R - 1); a zero rate makes the success event certain."""
-    return 1.0 / (2.0 ** rate - 1.0) if rate > 0.0 else math.inf
+    """1 / (2^R - 1); a zero rate, or one so small that 2^R rounds to 1,
+    makes the success event certain."""
+    gap = 2.0 ** rate - 1.0
+    return 1.0 / gap if gap > 0.0 else math.inf
 
 
 def _far_stage(eff: EffectiveChannel, pair: PairConfig, noise: float):
@@ -291,20 +293,16 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
     return F
 
 
-# Transform grids a near-joint evaluator keeps: one grid is
-# (L + 2 p_eps + 1) x (2 (L + 2 p_eps) + 1) complex, 300 KB at the defaults.
-_MAX_GRIDS = 8
-
-
 class _NearJoint:
     """Outage of the joint (SIC, own-message) success event of one link at
     any rates, on its power split, distance and interference factor.
 
     Calling it with (R_k, R_kt) evaluates the pair at those rates.  The
     link's 2D transform does not depend on the rates, so the evaluator
-    builds it once and keeps the `_MAX_GRIDS` most recently used transform
-    grids; rates whose abscissae fall on the same period-ladder rungs share
-    a grid, and the value is bit-identical to a fresh evaluation.
+    builds it once and keeps its most recently used transform grids
+    (`invert_2d`'s `grids`); rates whose abscissae fall on the same
+    period-ladder rungs share a grid, and the value is bit-identical to a
+    fresh evaluation.
     `_outage` decides an infeasible split or a nonpositive abscissa, and
     takes a zero rate, which makes one stage certain and reduces the event
     to the other stage's 1D marginal; without interference, forms far
@@ -337,8 +335,6 @@ class _NearJoint:
             self.transform = _near_joint_transform(eff, pair, self.phi)
         q, info = invert_2d(self.transform, theta_sic, theta_own, self.cfg,
                             full_output=True, grids=self.grids)
-        while len(self.grids) > _MAX_GRIDS:
-            del self.grids[next(iter(self.grids))]
         flag = "epsilon_degraded" if info["epsilon_degraded"] else None
         return _clamp(1.0 - q, flag)
 
@@ -386,9 +382,7 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
     so only the estimation error on the own stream and the other pairs'
     streams interfere.
     """
-    theta = math.inf
-    if rate > 0.0:
-        theta = eff.own_gain2 / (2.0 ** rate - 1.0) - eff.noise(d, params)
+    theta = eff.own_gain2 * _inv_snr_gap(rate) - eff.noise(d, params)
     phi, trivial = _interference_phi(eff.omega, d, params)
     return _outage(eff, None, ((0.0, theta),), phi, trivial, cfg)
 

@@ -222,6 +222,16 @@ class TestInvert2D:
         assert len(grids) == 2
         assert next(reversed(grids))[2:] == Inversion2DConfig().resolve(1.0, 2.0)
 
+        # more rungs than the dict holds: the least recently used go first
+        rungs = [(2.0 ** (0.5 * j), 2.0) for j in range(laplace._MAX_GRIDS + 3)]
+        for point in rungs:
+            cached = invert_2d(F, *point, grids=grids)
+            assert _same_bits(cached, invert_2d(F, *point))
+        assert len(grids) == laplace._MAX_GRIDS
+        assert [key[2:] for key in grids] == [
+            Inversion2DConfig().resolve(*point)
+            for point in rungs[-laplace._MAX_GRIDS:]]
+
 
 class TestPeriodLadder:
     @staticmethod
