@@ -44,9 +44,13 @@ _SUBSAMPLE = 1000
 # halving cap that ends it when no rate is feasible.
 _CAP_RTOL = 1e-9
 _CAP_ITERS = 60
-# Points per rate axis of the starting grids: the (R_k, R_kt) grid of the
-# pair optimizer, and the rate grid that brackets a single-stream optimum.
-_PAIR_GRID = 14
+# Upper end of a rate bracket that no link quantity bounds, in bit/s/Hz.
+_RATE_MAX = 64.0
+# Relative step of the pair optimizer's corner probes, and the relative
+# bracket width at which its golden-section fallback stops.
+_CORNER_STEP = 1e-3
+_LINE_TOL = 1e-4
+# Points of the rate grid that brackets a single-stream optimum.
 _STREAM_GRID = 48
 
 
@@ -215,32 +219,6 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
     return lo_ok
 
 
-def _pattern_search(objective, feasible, x0, caps, step0, steps=60):
-    """Compass pattern search with shrinking steps inside a feasibility box."""
-    x = np.array(x0, dtype=float)
-    fx = objective(x)
-    step = np.array(step0, dtype=float)
-    for _ in range(steps):
-        improved = False
-        for dim in range(len(x)):
-            for sign in (+1.0, -1.0):
-                cand = x.copy()
-                cand[dim] = cand[dim] + sign * step[dim]
-                if cand[dim] <= 0.0 or cand[dim] > caps[dim]:
-                    continue
-                if not feasible(cand):
-                    continue
-                fc = objective(cand)
-                if fc > fx:
-                    x, fx = cand, fc
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if np.all(step < 1e-5 * np.asarray(caps)):
-                break
-    return x, fx
-
-
 def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
                      cfg: Inversion1DConfig | None = None,
                      cfg2d: Inversion2DConfig | None = None) -> RateSolution:
@@ -248,23 +226,29 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
 
     Solves max R_k (1 - p_near) + R_kt (1 - p_far) subject to both outage
     probabilities staying below epsilon and the power-split feasibility
-    strict inequality, by a coarse grid plus pattern-search refinement
-    (outage evaluations are numerical inversions, so the solver is
-    derivative-free).  The near-user constraint is the exact joint outage:
-    the decorrelated approximation double-charges the interference budget
-    of the two SIC stages and can push the solution far off the true
-    feasible boundary.
+    strict inequality.  p_far depends on R_kt alone and p_near rises in
+    both rates, so a constrained optimum sits at the corner where both
+    constraints bind: R_kt at the smaller of the far cap and the SIC cap
+    (the near user's outage at a vanishing R_k), then R_k at the near cap
+    there.  The corner is returned when two one-sided probes, a step
+    `_CORNER_STEP` back along the near-cap boundary and in R_k alone, both
+    lose goodput.  Otherwise a golden-section search over R_kt maximizes
+    the best goodput at each R_kt: the unconstrained maximizer in R_k when
+    it meets epsilon, else the near cap.  The near-user constraint is the
+    exact joint outage: the decorrelated approximation double-charges the
+    interference budget of the two SIC stages and can push the solution
+    far off the true feasible boundary.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     cfg = cfg or Inversion1DConfig()
     cfg2d = cfg2d or Inversion2DConfig()
     pair0 = link.pair
+    eps = min(epsilon, 1.0 - 1e-12)
 
-    # One memo per outage function, shared by the rate caps, the grid and
-    # the pattern search; every evaluation is a numerical inversion.  The
-    # near-user evaluator also reuses its 2D transform grids across rate
-    # points.
+    # One memo per outage function, shared by the caps, the probes and the
+    # search; every evaluation is a numerical inversion.  The near-user
+    # evaluator also reuses its 2D transform grids across rate points.
     @functools.cache
     def p_far(R_kt):
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
@@ -276,41 +260,39 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     def p_near(R_k, R_kt):
         return near_exact(R_k, R_kt).probability
 
-    split_cap = math.log2(1.0 + 1.0 / pair0.beta_k2) * (1.0 - 1e-9)
-    far_cap = _bisect_rate_cap(p_far, min(epsilon, 1.0 - 1e-12), split_cap)
-    near_cap = _bisect_rate_cap(lambda R: p_near(R, 1e-9),
-                                min(epsilon, 1.0 - 1e-12), 64.0)
-    if far_cap <= 0.0 or near_cap <= 0.0:
-        return RateSolution(0.0, 0.0, 0.0, 1.0, 1.0, feasible=False)
+    def near_cap(R_kt):
+        return _bisect_rate_cap(lambda R: p_near(R, R_kt), eps, _RATE_MAX)
 
-    def objective(x):
-        R_k, R_kt = x
+    def goodput(R_k, R_kt):
         return R_k * (1.0 - p_near(R_k, R_kt)) + R_kt * (1.0 - p_far(R_kt))
 
-    def feasible(x):
-        R_k, R_kt = x
-        return p_far(R_kt) <= epsilon and p_near(R_k, R_kt) <= epsilon
-
-    r_k_axis = np.linspace(near_cap / _PAIR_GRID, near_cap, _PAIR_GRID)
-    r_kt_axis = np.linspace(far_cap / _PAIR_GRID, far_cap, _PAIR_GRID)
-    scored = []
-    for R_k in r_k_axis:
-        for R_kt in r_kt_axis:
-            if p_near(R_k, R_kt) > epsilon:
-                continue
-            scored.append((objective((R_k, R_kt)), (R_k, R_kt)))
-    if not scored:
+    split_cap = math.log2(1.0 + 1.0 / pair0.beta_k2) * (1.0 - 1e-9)
+    far_cap = _bisect_rate_cap(p_far, eps, split_cap)
+    # the SIC stage alone, at a vanishing R_k, caps R_kt too
+    R_kt = _bisect_rate_cap(lambda R: p_near(1e-9, R), eps, far_cap)
+    if R_kt <= 0.0:
         return RateSolution(0.0, 0.0, 0.0, 1.0, 1.0, feasible=False)
-    scored.sort(key=lambda t: -t[0])
-    step0 = (near_cap / _PAIR_GRID, far_cap / _PAIR_GRID)
-    x, f = None, -1.0
-    for _, start in scored[:3]:
-        xs, fs = _pattern_search(objective, feasible, start,
-                                 caps=(near_cap, far_cap), step0=step0)
-        if fs > f:
-            x, f = xs, fs
-    return RateSolution(float(x[0]), float(x[1]), float(f),
-                        p_near(x[0], x[1]), p_far(x[1]))
+    R_k = near_cap(R_kt)
+    g = goodput(R_k, R_kt)
+    back = R_kt * (1.0 - _CORNER_STEP)
+    if (goodput(near_cap(back), back) >= g
+            or goodput(R_k * (1.0 - _CORNER_STEP), R_kt) >= g):
+        # every feasible R_k lies below the near cap at a vanishing R_kt
+        k_hi = near_cap(1e-9)
+
+        @functools.cache
+        def best_at(R_kt):
+            R, _ = _golden_min(lambda R: -goodput(R, R_kt), 0.0, k_hi,
+                               tol=_LINE_TOL)
+            if p_near(R, R_kt) > epsilon:
+                R = _bisect_rate_cap(lambda r: p_near(r, R_kt), eps, R)
+            return goodput(R, R_kt), R
+
+        x, f = _golden_min(lambda x: -best_at(x)[0], 0.0, R_kt, tol=_LINE_TOL)
+        if -f > g:
+            (g, R_k), R_kt = best_at(x), x
+    return RateSolution(float(R_k), float(R_kt), float(g), p_near(R_k, R_kt),
+                        p_far(R_kt))
 
 
 def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
@@ -332,7 +314,7 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
             eff, R / share, d, params, cfg).probability
 
     mu2, noise = eff.own_gain2, eff.noise(d, params)
-    hard_cap = share * math.log2(1.0 + mu2 / noise) if noise > 0 else 64.0 * share
+    hard_cap = share * math.log2(1.0 + mu2 / noise) if noise > 0 else _RATE_MAX * share
     cap = _bisect_rate_cap(p_of, min(epsilon, 1.0 - 1e-12), hard_cap)
     if cap <= 0.0:
         return 0.0, 0.0, 1.0

@@ -286,6 +286,56 @@ class TestMaximizeGoodput:
                    (oma.R_k, oma.R_kt, oma.goodput, oma.p_near, oma.p_far))
         assert max(oma.p_near, oma.p_far) <= 1e-12
 
+    @staticmethod
+    def _fresh_outages(link, sol, params):
+        pair = link.pair.with_rates(sol.R_k, sol.R_kt)
+        return (near_outage_conditional_exact(link.eff_near, pair,
+                                              params).probability,
+                far_outage_conditional(link.eff_far, pair, params).probability)
+
+    @pytest.mark.parametrize("scheme", ["aligned", "plain"])
+    def test_corner_is_certified_on_fig7_links(self, monkeypatch, scheme):
+        # both constraints bind on the fig7 links at 20 dB: the two cap
+        # bisections and the two probes settle it, with no search
+        params = NetworkParams()
+        link = build_scenario(params, PairConfig(), kappa=0.9,
+                              k_factor_db=20.0, seed=20240717,
+                              scheme=scheme).link(1)
+        calls, factory = [], design._near_exact_evaluator
+
+        def recording(*args):
+            evaluate = factory(*args)
+
+            def call(R_k, R_kt):
+                calls.append((R_k, R_kt))
+                return evaluate(R_k, R_kt)
+
+            return call
+
+        monkeypatch.setattr(design, "_near_exact_evaluator", recording)
+        sol = maximize_goodput(link, 1e-2, params)
+        assert sol.feasible
+        assert len(calls) <= 110
+        assert max(self._fresh_outages(link, sol, params)) <= 1e-2
+
+    def test_sic_bound_link_searches_the_boundary(self):
+        # without interference the near user's SIC stage caps R_kt (1.127)
+        # below the far cap (1.256); the near cap there is only 0.234, so the
+        # boundary search takes over (the earlier pattern search reached
+        # 2.414468576)
+        params = NetworkParams(lambda_b=0.0)
+        link = build_scenario(params, PairConfig(), k_factor_db=10.0,
+                              seed=20240717).link(1)
+        sol = maximize_goodput(link, 1e-2, params)
+        assert sol.goodput >= 2.414468576
+        assert max(self._fresh_outages(link, sol, params)) <= 1e-2
+
+    def test_interior_optimum_is_found(self, table_scenario, table_params):
+        # neither constraint binds at epsilon = 0.5 (p_near 0.228, p_far
+        # 0.199); the earlier pattern search reached 4.552711103
+        sol = maximize_goodput(table_scenario.link(1), 0.5, table_params)
+        assert sol.goodput == pytest.approx(4.552711103, rel=1e-8)
+
     def test_decoupling_desk_check(self, table_scenario, table_params):
         # joint grid optimization over both pairs' rates equals the
         # concatenation of per-pair solutions on the same grid: outage of a
