@@ -91,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError("mc.exclusion must be none or serving")
         if self.trials < 1:
             raise ConfigError("mc.trials must be at least 1")
-        if self.window_radius <= 0:
+        if not self.window_radius > 0:  # also rejects NaN
             raise ConfigError("mc.window_radius must be positive")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError("optimize.epsilon must lie in (0, 1]")

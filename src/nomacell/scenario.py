@@ -32,6 +32,9 @@ class Scenario:
     links: tuple[PairLink, ...]
 
     def link(self, pair_index: int = 1) -> PairLink:
+        if not 1 <= pair_index <= len(self.links):
+            raise ValueError(f"pair_index must lie in 1..{len(self.links)}, "
+                             f"got {pair_index}")
         return self.links[pair_index - 1]
 
     def with_pair_rates(self, R_k: float | None = None,

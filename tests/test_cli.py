@@ -189,6 +189,8 @@ BAD_CONFIGS = [
     pytest.param("mc.trials = 0\n", "mc.trials", id="trials"),
     pytest.param("mc.window_radius = -5000\n", "mc.window_radius",
                  id="window-radius"),
+    pytest.param("mc.window_radius = nan\n", "mc.window_radius",
+                 id="window-radius-nan"),
     pytest.param("mc.exclusion = bogus\n", "mc.exclusion", id="exclusion"),
     pytest.param("network.lambda_b = 0\nmc.exclusion = bogus\n",
                  "mc.exclusion", id="exclusion-no-base-stations"),

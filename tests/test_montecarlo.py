@@ -157,6 +157,142 @@ class TestInterfererField:
         assert np.array_equal(fast, counts())
 
 
+def _whole_field_interference(rng, params, n, d_near, d_far, window_radius,
+                              exclusion):
+    """The interferer field with the kernel's expressions evaluated over the
+    whole field at once, one bincount over all points."""
+    W = min(window_radius, math.sqrt(montecarlo._MAX_MEAN_POINTS
+                                     / (params.lambda_b * math.pi)))
+    counts = rng.poisson(params.lambda_b * math.pi * W * W, size=n)
+    total = int(counts.sum())
+    trial = np.repeat(np.arange(n), counts)
+    r = W * np.sqrt(rng.random(total))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=total)
+    four_r_hav = 4.0 * r * np.sin(0.5 * phi) ** 2
+    sums = []
+    for d in (d_near, d_far):
+        offs = d[trial] if np.ndim(d) else d
+        dist2 = (r - offs) ** 2 + offs * four_r_hav
+        w = np.where((exclusion == "serving") & (dist2 < offs * offs), 0.0,
+                     dist2 ** (-0.5 * params.alpha))
+        sums.append(np.bincount(trial, weights=w, minlength=n))
+    return sums[0], sums[1]
+
+
+class TestBlockSize:
+    # The field is evaluated in blocks of whole trials; each trial's points
+    # are added in draw order, so the block size must not move a bit.
+    @pytest.mark.parametrize("block", [1, 777])
+    @pytest.mark.parametrize("exclusion", ["none", "serving"])
+    @pytest.mark.parametrize("mode", ["conditional", "average-distance"])
+    @pytest.mark.parametrize("lambda_b, window, n", [
+        (1e-6, 1000.0, 2000),  # mean 3.1 points: ~4% of trials are empty
+        (1e-4, 5000.0, 60),    # ~2,000 points: every trial exceeds a block
+    ])
+    def test_sums_do_not_depend_on_block_size(self, monkeypatch, lambda_b,
+                                              window, n, mode, exclusion,
+                                              block):
+        params = NetworkParams(lambda_b=lambda_b)
+        d_near, d_far = montecarlo._draw_distances(
+            mode, PairConfig(), params, np.random.default_rng(4), n)
+        args = (params, n, d_near, d_far, window, exclusion)
+        mean = min(lambda_b * math.pi * window ** 2,
+                   montecarlo._MAX_MEAN_POINTS)
+        counts = np.random.default_rng(3).poisson(mean, size=n)
+        if lambda_b < 1e-5:
+            assert 0 < np.sum(counts == 0) < n // 10
+        else:
+            assert counts.min() > 777
+        default = _interference(np.random.default_rng(3), *args)
+        monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", block)
+        blocked = _interference(np.random.default_rng(3), *args)
+        for a, b in zip(default, blocked):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("exclusion", ["none", "serving"])
+    @pytest.mark.parametrize("mode", ["conditional", "average-distance"])
+    def test_same_bits_as_whole_field(self, mode, exclusion):
+        # the same expressions summed in the same order: equal to the bit,
+        # on a field of ~10 blocks
+        params = NetworkParams(lambda_b=1e-4)
+        d_near, d_far = montecarlo._draw_distances(
+            mode, PairConfig(), params, np.random.default_rng(4), 300)
+        args = (params, 300, d_near, d_far, 5000.0, exclusion)
+        got = _interference(np.random.default_rng(3), *args)
+        want = _whole_field_interference(np.random.default_rng(3), *args)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+# Counts of `_run` (both, far only, near only, neither, SIC ok, own ok) at
+# the Table defaults, seed 11, 2,500 trials: one full chunk and a partial
+# one.  Any change to the simulator's draws or arithmetic shows here.  The
+# serving rows at 1e-5 and 1e-4 have no failure, so they pin little; the
+# field's sums there are pinned by `test_same_bits_as_whole_field`.
+PINNED_COUNTS = {
+    (1e-7, "conditional", "none"): [2500, 0, 0, 0, 2500, 2500],
+    (1e-7, "average-random", "none"): [1808, 272, 220, 200, 2337, 2028],
+    (1e-7, "average-distance", "none"): [1762, 102, 544, 92, 2427, 2306],
+    (1e-7, "average-distance", "serving"): [2304, 1, 195, 0, 2500, 2499],
+    (1e-5, "conditional", "none"): [2323, 69, 105, 3, 2467, 2428],
+    (1e-5, "average-random", "none"): [1986, 265, 128, 121, 2336, 2114],
+    (1e-5, "average-distance", "none"): [2010, 143, 297, 50, 2426, 2307],
+    (1e-5, "average-distance", "serving"): [2500, 0, 0, 0, 2500, 2500],
+    (1e-4, "conditional", "none"): [1052, 400, 693, 355, 2176, 1745],
+    (1e-4, "average-random", "none"): [1963, 258, 149, 130, 2322, 2112],
+    (1e-4, "average-distance", "none"): [1981, 126, 342, 51, 2428, 2323],
+    (1e-4, "average-distance", "serving"): [2500, 0, 0, 0, 2500, 2500],
+}
+
+
+@pytest.mark.parametrize("lambda_b, mode, exclusion", list(PINNED_COUNTS))
+def test_pinned_counts(lambda_b, mode, exclusion):
+    sc = build_scenario(NetworkParams(lambda_b=lambda_b), PairConfig(),
+                        seed=20240717)
+    got = montecarlo._run(sc, mode, 2500, 11, 1, 5000.0, exclusion)
+    assert got.tolist() == PINNED_COUNTS[lambda_b, mode, exclusion]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("pair_index", [0, -1, 3])
+    def test_link_rejects_pair_index_outside_pairs(self, table_scenario,
+                                                   pair_index):
+        assert len(table_scenario.links) == 2
+        with pytest.raises(ValueError, match="pair_index"):
+            table_scenario.link(pair_index)
+
+    def test_link_keeps_pair_order(self, table_scenario):
+        assert table_scenario.link(1) is table_scenario.links[0]
+        assert table_scenario.link(2) is table_scenario.links[1]
+
+    @pytest.mark.parametrize("pair_index", [0, 3])
+    def test_simulator_rejects_pair_index_outside_pairs(self, table_scenario,
+                                                        pair_index):
+        with pytest.raises(ValueError, match="pair_index"):
+            estimate_outage(table_scenario, n_trials=100,
+                            pair_index=pair_index)
+
+    @pytest.mark.parametrize("lambda_b, kwargs, match", [
+        (0.0, {"exclusion": "bogus"}, "exclusion"),
+        (1e-5, {"window_radius": 0.0}, "window_radius"),
+        (1e-5, {"window_radius": -5.0}, "window_radius"),
+        (1e-5, {"window_radius": math.nan}, "window_radius"),
+        (0.0, {"mode": "bogus"}, "unknown mode"),
+    ], ids=["exclusion", "window-zero", "window-negative", "window-nan",
+            "mode"])
+    def test_rejected_before_any_draw(self, monkeypatch, table_pair,
+                                      lambda_b, kwargs, match):
+        sc = build_scenario(NetworkParams(lambda_b=lambda_b), table_pair,
+                            seed=3)
+
+        def no_draws(*args):
+            raise AssertionError("drew trials before checking arguments")
+
+        monkeypatch.setattr(montecarlo, "_chunk_counts", no_draws)
+        with pytest.raises(ValueError, match=match):
+            estimate_outage(sc, n_trials=100, **kwargs)
+
+
 class TestEstimateOutage:
     def test_seed_determinism(self, table_scenario):
         a = estimate_outage(table_scenario, "conditional", 5000, seed=42)
