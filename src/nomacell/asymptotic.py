@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,13 @@ def chernoff_near_bound(eff: EffectiveChannel, pair: PairConfig,
     return _chernoff(eff, _near_stages(eff, pair, *thetas), s_hat)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10,
-                max_iter: int = 200):
+def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
     """Golden-section minimization on [lo, hi]."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a < tol * (abs(a) + abs(b) + 1e-30):
             break
         if f1 <= f2:

@@ -126,6 +126,8 @@ def _grouping(text: str) -> tuple[str, ...]:
 
 def _rate_ratio(text: str) -> float | None:
     ratio = float(text)
+    if math.isnan(ratio):
+        raise ValueError("rate_ratio must be a number")
     return ratio if ratio > 0 else None
 
 

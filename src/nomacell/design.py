@@ -110,8 +110,7 @@ def alignment_nullspace(H_near: np.ndarray, H_far: np.ndarray,
     return Vh[K:, :].conj().T, degenerate
 
 
-def choose_receiver_combining(U: np.ndarray, H_near_L: np.ndarray | None = None
-                              ) -> np.ndarray:
+def choose_receiver_combining(U: np.ndarray, H_near_L: np.ndarray) -> np.ndarray:
     """Unit combining vector maximizing the effective channel magnitude.
 
     Takes the dominant right singular direction of the map from combining
@@ -122,8 +121,6 @@ def choose_receiver_combining(U: np.ndarray, H_near_L: np.ndarray | None = None
     dim = U.shape[1]
     if dim == 1:
         return np.ones(1, dtype=complex)
-    if H_near_L is None:
-        raise ValueError("channel map required when the null space has dim > 1")
     N = H_near_L.shape[0]
     gain_map = H_near_L.conj().T @ U[:N, :]
     _, _, Vh = np.linalg.svd(gain_map)

@@ -38,7 +38,7 @@ class Inversion1DConfig:
     q: int = 15
 
     def __post_init__(self):
-        if self.A <= 0 or self.m_euler < 0 or self.q < 0:
+        if not 0 < self.A < math.inf or self.m_euler < 0 or self.q < 0:
             raise ValueError(f"invalid 1D inversion configuration {self}")
 
     @property
@@ -120,7 +120,7 @@ def invert_1d(transform, tau: float, config: Inversion1DConfig | None = None) ->
     return float(math.exp(A / 2.0) / tau * np.dot(weights, partial[Q + m]))
 
 
-def epsilon_accelerate(partial_sums, return_diagnostics: bool = False):
+def epsilon_accelerate(partial_sums):
     """Wynn epsilon extrapolation of partial sums along the last axis.
 
     Each index of the leading axes holds an independent sequence of an odd
@@ -129,8 +129,7 @@ def epsilon_accelerate(partial_sums, return_diagnostics: bool = False):
     scalar (a float for real input) when `partial_sums` is 1D.  A sequence
     whose table turns numerically singular (a difference below 1e-300)
     freezes at that step and keeps the best even-column entry it reached,
-    while the others go on.  With `return_diagnostics` a single bool
-    reports whether any sequence froze.
+    while the others go on.
     """
     sums = np.asarray(partial_sums)
     n = sums.shape[-1] if sums.ndim else 0
@@ -153,8 +152,6 @@ def epsilon_accelerate(partial_sums, return_diagnostics: bool = False):
     value = best if np.iscomplexobj(sums) else best.real
     if sums.ndim == 1:
         value = value[()] if np.iscomplexobj(sums) else float(value)
-    if return_diagnostics:
-        return value, bool(frozen.any())
     return value
 
 
@@ -171,9 +168,9 @@ def _transform_grid(transform, periods, cfg: Inversion2DConfig) -> np.ndarray:
 
 
 def _sum_grid(F: np.ndarray, theta1: float, theta2: float, periods,
-              cfg: Inversion2DConfig) -> tuple[float, bool]:
+              cfg: Inversion2DConfig) -> float:
     """Epsilon-extrapolated double trapezoid sum of a transform grid at
-    (theta1, theta2), and whether any epsilon table froze."""
+    (theta1, theta2)."""
     T1, T2, c1, c2 = periods
     L, P = cfg.L, cfg.p_eps
     n_max = L + 2 * P
@@ -190,15 +187,12 @@ def _sum_grid(F: np.ndarray, theta1: float, theta2: float, periods,
     inner = W[:, zero + 1:] + W[:, zero - 1::-1]
     inner[0, :] = W[0, zero + 1:]
     inner_cum = np.cumsum(inner, axis=1)
-    rows, degraded = epsilon_accelerate(inner_cum[:, L - 1:L + 2 * P],
-                                        return_diagnostics=True)
+    rows = epsilon_accelerate(inner_cum[:, L - 1:L + 2 * P])
     rows[0] += 0.5 * W[0, zero]
     rows[1:] += W[1:, zero]
-    total, d = epsilon_accelerate(np.cumsum(rows)[L - 1:L + 2 * P],
-                                  return_diagnostics=True)
-    value = float(math.exp(c1 * theta1 + c2 * theta2) / (4.0 * T1 * T2)
-                  * 2.0 * total.real)
-    return value, degraded or d
+    total = epsilon_accelerate(np.cumsum(rows)[L - 1:L + 2 * P])
+    return float(math.exp(c1 * theta1 + c2 * theta2) / (4.0 * T1 * T2)
+                 * 2.0 * total.real)
 
 
 # Transform grids a `grids` dict of `invert_2d` keeps: one grid is
@@ -208,15 +202,14 @@ _MAX_GRIDS = 8
 
 def invert_2d(transform, theta1: float, theta2: float,
               config: Inversion2DConfig | None = None,
-              full_output: bool = False, grids: dict | None = None):
+              grids: dict | None = None) -> float:
     """Invert a 2D Laplace transform at (theta1, theta2), both > 0.
 
     `transform` is called once with broadcastable complex grids (column of
     s values, row of t values) and must return the elementwise transform.
     Tail sums over both indices are extrapolated with the epsilon
     algorithm using 2 * p_eps + 1 partial sums: one batched call for every
-    row's inner sum, one for the outer sum; `full_output`'s
-    `epsilon_degraded` is true if any of those tables froze.
+    row's inner sum, one for the outer sum.
 
     `grids`, a dict the caller keeps for this one transform, reuses its
     grids across abscissae: a grid stored there for the same periods and
@@ -229,20 +222,13 @@ def invert_2d(transform, theta1: float, theta2: float,
         raise ValueError("inversion abscissae must be positive")
     cfg = config or Inversion2DConfig()
     periods = cfg.resolve(theta1, theta2)
-    if grids is None:
+    grids = {} if grids is None else grids
+    key = (cfg.L, cfg.p_eps, *periods)
+    F = grids.pop(key, None)
+    if F is None:
         F = _transform_grid(transform, periods, cfg)
-    else:
-        key = (cfg.L, cfg.p_eps, *periods)
-        F = grids.pop(key, None)
-        if F is None:
-            F = _transform_grid(transform, periods, cfg)
-            F.flags.writeable = False  # shared by every later inversion
-        grids[key] = F
-        while len(grids) > _MAX_GRIDS:
-            del grids[next(iter(grids))]
-    value, degraded = _sum_grid(F, theta1, theta2, periods, cfg)
-    if full_output:
-        T1, T2, c1, c2 = periods
-        return value, {"epsilon_degraded": degraded, "T1": T1, "T2": T2,
-                       "c1": c1, "c2": c2}
-    return value
+        F.flags.writeable = False  # shared by every later inversion
+    grids[key] = F
+    while len(grids) > _MAX_GRIDS:
+        del grids[next(iter(grids))]
+    return _sum_grid(F, theta1, theta2, periods, cfg)

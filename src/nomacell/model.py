@@ -43,14 +43,17 @@ class NetworkParams:
     c: float = 1.25
 
     def __post_init__(self):
-        if self.alpha <= 2:
+        # `not x > y` rather than `x <= y`: the comparisons also reject NaN.
+        if not self.alpha > 2:
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
+        if not self.c > 0:
+            raise ValueError(f"c must be positive, got {self.c}")
         if self.K > min(self.M, self.N):
             raise ValueError(f"K={self.K} exceeds min(M, N)={min(self.M, self.N)}")
         if self.K > 2 * self.N:
             raise ValueError("K must not exceed 2N (alignment null space empty)")
         for name in ("lambda_b", "P", "rho_I", "sigma2"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def path_loss(self, d):
@@ -97,7 +100,7 @@ class ChannelEstimate:
     _R_r_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sigma_h2 < 0:
+        if not self.sigma_h2 >= 0:
             raise ValueError("sigma_h2 must be nonnegative")
         N, M = self.H_hat.shape
         if self.R_t.shape != (M, M) or self.R_r.shape != (N, N):
@@ -149,7 +152,7 @@ def channel_k_factor(est: ChannelEstimate) -> float:
 def error_variance_for_k_factor(k_factor: float, h_norm2: float,
                                 R_t: np.ndarray, R_r: np.ndarray) -> float:
     """Invert the K-factor definition to get sigma_h2 for a target quality."""
-    if k_factor <= 0:
+    if not k_factor > 0:
         raise ValueError("k_factor must be positive")
     return float(h_norm2 / (k_factor * np.trace(R_t).real * np.trace(R_r).real))
 
@@ -178,7 +181,7 @@ class PairConfig:
         # comparison also rejects NaN.
         if not all(0.0 <= R < 1024.0 for R in (self.R_k, self.R_kt)):
             raise ValueError("target rates must lie in [0, 1024) bps/Hz")
-        if self.d_k <= 0 or self.d_kt <= 0:
+        if not (self.d_k > 0 and self.d_kt > 0):
             raise ValueError("distances must be positive")
         if self.r_k >= self.r_kt:
             raise ValueError("near-user rank must be smaller than far-user rank")

@@ -197,8 +197,8 @@ def _interference_phi(omega: float, d: float, params: NetworkParams):
     return (lambda s: np.exp(-coeff * s ** expo)), False
 
 
-def _clamp(raw: float, flag: str | None = None) -> OutageResult:
-    return OutageResult(min(max(raw, 0.0), 1.0), raw, flag)
+def _clamp(raw: float) -> OutageResult:
+    return OutageResult(min(max(raw, 0.0), 1.0), raw)
 
 
 def _outage(eff: EffectiveChannel, pair: PairConfig | None, stages, phi,
@@ -333,10 +333,9 @@ class _NearJoint:
                 return OutageResult(0.0, 0.0)
         if self.transform is None:
             self.transform = _near_joint_transform(eff, pair, self.phi)
-        q, info = invert_2d(self.transform, theta_sic, theta_own, self.cfg,
-                            full_output=True, grids=self.grids)
-        flag = "epsilon_degraded" if info["epsilon_degraded"] else None
-        return _clamp(1.0 - q, flag)
+        q = invert_2d(self.transform, theta_sic, theta_own, self.cfg,
+                      grids=self.grids)
+        return _clamp(1.0 - q)
 
 
 def _near_exact_evaluator(eff: EffectiveChannel, pair: PairConfig,

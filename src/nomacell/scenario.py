@@ -69,6 +69,8 @@ def build_scenario(params: NetworkParams,
     template = pair_template or PairConfig()
     policy = policy or GroupingPolicy("distance")
     h_norm2 = float(params.M * params.N) if h_norm2 is None else h_norm2
+    if not 0 < h_norm2 < np.inf:
+        raise ValueError(f"h_norm2 must be positive and finite, got {h_norm2}")
     R_t = exponential_covariance(params.M, kappa)
     R_r = exponential_covariance(params.N, kappa)
     sigma_h2 = error_variance_for_k_factor(10.0 ** (k_factor_db / 10.0),

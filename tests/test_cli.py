@@ -57,6 +57,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown method"):
             load_config(_write(tmp_path, "methods = exact, magic\n"))
 
+    def test_nonpositive_rate_ratio_keeps_rate_near(self, tmp_path):
+        for value in ("0", "-1"):
+            cfg = load_config(_write(tmp_path, f"pair.rate_ratio = {value}\n"))
+            assert cfg.rate_ratio is None
+
     def test_db_conversion_boundary(self, tmp_path):
         cfg = load_config(_write(tmp_path, "network.p_dbm = 30\n"))
         assert cfg.params.P == pytest.approx(1.0)
@@ -201,6 +206,27 @@ BAD_CONFIGS = [
     pytest.param("mode = average\nsweep.axis = lambda_b\n"
                  "sweep.values = 0, 1e-5\n", "lambda_b > 0",
                  id="average-lambda_b-sweep"),
+    # NaN fails every ordered comparison, so each check must reject it
+    pytest.param("network.alpha = nan\n", "alpha must exceed 2", id="alpha-nan"),
+    pytest.param("network.lambda_b = nan\n", "lambda_b must be",
+                 id="lambda_b-nan"),
+    pytest.param("network.p_dbm = nan\n", "P must be", id="p_dbm-nan"),
+    pytest.param("network.rho_i_dbm = nan\n", "rho_I must be",
+                 id="rho_i_dbm-nan"),
+    pytest.param("network.sigma2_dbm = nan\n", "sigma2 must be",
+                 id="sigma2_dbm-nan"),
+    pytest.param("network.cell_constant = 0\n", "c must be positive",
+                 id="cell-constant-zero"),
+    pytest.param("pair.d_near = nan\n", "distances", id="d_near-nan"),
+    pytest.param("pair.d_far = nan\n", "distances", id="d_far-nan"),
+    pytest.param("pair.rate_ratio = nan\n", "pair.rate_ratio",
+                 id="rate-ratio-nan"),
+    pytest.param("channel.k_factor_db = nan\n", "k_factor", id="k_factor-nan"),
+    pytest.param("channel.h_norm2 = nan\n", "h_norm2", id="h_norm2-nan"),
+    pytest.param("channel.h_norm2 = 0\n", "h_norm2", id="h_norm2-zero"),
+    pytest.param("channel.h_norm2 = inf\n", "h_norm2", id="h_norm2-inf"),
+    pytest.param("inv1d.a = nan\n", "A=nan", id="inv1d-a-nan"),
+    pytest.param("inv1d.a = inf\n", "A=inf", id="inv1d-a-inf"),
 ]
 
 
@@ -265,6 +291,25 @@ class TestMain:
             assert len(rows) == 2
             assert all(math.isfinite(float(r[1])) and math.isfinite(float(r[2]))
                        for r in rows)
+
+    @pytest.mark.parametrize("lines", ["network.alpha = 2.05",
+                                       "network.sigma2_dbm = -inf",
+                                       "network.m = 2",
+                                       "network.m = 2\nnetwork.n = 3"])
+    def test_conditional_mode_boundaries(self, tmp_path, capsys, lines):
+        # the exponent next to 2, a noise-free network, and K = min(M, N)
+        text = (f"sweep.values = 0.25, 1.0\nmethods = exact, approx, mc\n"
+                f"mc.trials = 500\n{lines}\nout = {tmp_path}/b\n")
+        assert main(["sweep", str(_write(tmp_path, text)),
+                     "--deterministic"]) == 0
+        assert "failed" not in capsys.readouterr().out
+        paths = sorted((tmp_path / "b").glob("*.csv"))
+        assert len(paths) == 3
+        for path in paths:
+            rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(v)) for r in rows for v in r[1:6]
+                       if v)
 
     def test_fig1_near_user_ordering(self, tmp_path):
         # the Monte Carlo near-user column sits below the approximation at

@@ -53,7 +53,8 @@ class TestAlignmentNullspace:
 
 class TestReceiverCombining:
     def test_forced_scalar(self):
-        z = choose_receiver_combining(np.ones((4, 1), dtype=complex))
+        z = choose_receiver_combining(np.ones((4, 1), dtype=complex),
+                                      np.ones((2, 2), dtype=complex))
         assert z.shape == (1,)
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
 

@@ -9,38 +9,36 @@ from nomacell import (Inversion1DConfig, Inversion2DConfig, NetworkParams,
                       build_scenario,
                       epsilon_accelerate, invert_1d, invert_2d,
                       near_outage_conditional_exact)
-from nomacell import laplace, outage
+from nomacell import laplace
 
 
-def _epsilon_reference(partial_sums, return_diagnostics=False):
-    """Row-by-row Wynn recursion: one scalar table per leading index, each
-    stopping at its own first singular difference.  The batched kernel must
-    reproduce it bit for bit."""
-    sums = np.asarray(partial_sums)
-    if sums.ndim > 1:
-        out = np.empty(sums.shape[:-1], dtype=complex)
-        degraded = False
-        for idx in np.ndindex(out.shape):
-            out[idx], d = _epsilon_reference(sums[idx], return_diagnostics=True)
-            degraded |= d
-        value = out if np.iscomplexobj(sums) else out.real
-        return (value, degraded) if return_diagnostics else value
+def _wynn_columns(sums):
+    """Columns of the scalar Wynn table of one sequence, up to its first
+    singular difference (all n of them when none occurs)."""
     n = len(sums)
     e_prev = np.zeros(n + 1, dtype=complex)
     e_curr = sums.astype(complex)
-    best = e_curr[-1]
-    degraded = False
-    for k in range(1, n):
+    yield e_curr
+    for _ in range(1, n):
         diff = e_curr[1:] - e_curr[:-1]
         if np.any(np.abs(diff) < 1e-300):
-            degraded = True
-            break
-        e_next = e_prev[1:len(e_curr)] + 1.0 / diff
-        e_prev, e_curr = e_curr, e_next
-        if k % 2 == 0:
-            best = e_curr[-1]
-    value = best if np.iscomplexobj(sums) else float(best.real)
-    return (value, degraded) if return_diagnostics else value
+            return
+        e_prev, e_curr = e_curr, e_prev[1:len(e_curr)] + 1.0 / diff
+        yield e_curr
+
+
+def _epsilon_reference(partial_sums):
+    """Row-by-row Wynn recursion: one scalar table per leading index, each
+    stopping at its own first singular difference and keeping its last
+    even column.  The batched kernel must reproduce it bit for bit."""
+    sums = np.asarray(partial_sums)
+    if sums.ndim > 1:
+        out = np.empty(sums.shape[:-1], dtype=complex)
+        for idx in np.ndindex(out.shape):
+            out[idx] = _epsilon_reference(sums[idx])
+        return out if np.iscomplexobj(sums) else out.real
+    best = list(_wynn_columns(sums))[::2][-1][-1]
+    return best if np.iscomplexobj(sums) else float(best.real)
 
 
 def _same_bits(a, b):
@@ -152,32 +150,6 @@ class TestInvert2D:
         want = invert_1d(F1, 0.8) * invert_1d(F2, 0.6)
         assert abs(got - want) <= 1e-5
 
-    def test_epsilon_degradation_flag_surfaces(self):
-        # only the first few harmonics are nonzero, so every row's partial
-        # sums are constant over the extrapolation window
-        def F(s, t):
-            keep = (np.abs(s.imag) < 10.0) & (np.abs(t.imag) < 10.0)
-            return np.where(keep, 1 / (s * t), 0.0)
-
-        _, info = invert_2d(F, 1.0, 1.0, full_output=True)
-        assert info["epsilon_degraded"] is True
-
-    def test_degraded_inversion_surfaces_in_outage_flag(self, table_scenario,
-                                                        table_params,
-                                                        monkeypatch):
-        link = table_scenario.link(1)
-        joint = outage._near_joint_transform
-
-        def real_axis_only(*args):
-            F = joint(*args)
-            return lambda s, t: np.where((s.imag == 0) & (t.imag == 0),
-                                         F(s, t), 0.0)
-
-        monkeypatch.setattr(outage, "_near_joint_transform", real_axis_only)
-        res = near_outage_conditional_exact(link.eff_near, link.pair,
-                                            table_params)
-        assert res.flag == "epsilon_degraded"
-
     @pytest.mark.parametrize("lambda_b", [1e-5, 1e-7, 0.0])
     def test_near_exact_matches_row_by_row_reference(self, lambda_b,
                                                      table_pair, monkeypatch):
@@ -197,8 +169,6 @@ class TestInvert2D:
         rowwise = near_all()
         for got, want in zip(batched, rowwise):
             assert _same_bits(got.raw, want.raw)
-            assert got.flag == want.flag
-        assert any(r.flag == "epsilon_degraded" for r in batched)
 
     def test_rejects_nonpositive_abscissae(self):
         with pytest.raises(ValueError):
@@ -268,10 +238,7 @@ class TestEpsilonAcceleration:
         assert abs(epsilon_accelerate(sums) - 2.0) <= 1e-10
 
     def test_degradation_returns_last_sum(self):
-        val, degraded = epsilon_accelerate([1.0, 1.0, 2.0],
-                                           return_diagnostics=True)
-        assert degraded
-        assert val == pytest.approx(2.0)
+        assert epsilon_accelerate([1.0, 1.0, 2.0]) == pytest.approx(2.0)
 
     def test_requires_odd_count(self):
         with pytest.raises(ValueError):
@@ -280,31 +247,22 @@ class TestEpsilonAcceleration:
             epsilon_accelerate(np.ones((3, 4)))
 
     def test_one_dimensional_input_returns_a_scalar(self):
-        val, degraded = epsilon_accelerate([1.0, 1.5, 1.75],
-                                           return_diagnostics=True)
-        assert type(val) is float and type(degraded) is bool
+        assert type(epsilon_accelerate([1.0, 1.5, 1.75])) is float
         assert np.ndim(epsilon_accelerate([1j, 1.5j, 1.75j])) == 0
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_reference_freezes_the_intended_rows(self, rng, kind):
-        flags = [_epsilon_reference(row, return_diagnostics=True)[1]
-                 for row in _tables(rng, kind)]
-        assert flags == [True, True, True, False, False]
+        # a table frozen at step k keeps k columns, an unfrozen one all 17
+        columns = [len(list(_wynn_columns(row))) for row in _tables(rng, kind)]
+        assert columns == [1, 2, 3, 17, 17]
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_batched_rows_match_reference_bitwise(self, rng, kind):
         table = _tables(rng, kind)
-        got, degraded = epsilon_accelerate(table, return_diagnostics=True)
-        want, want_degraded = _epsilon_reference(table, return_diagnostics=True)
-        assert _same_bits(got, want)
-        assert degraded is want_degraded is True
+        assert _same_bits(epsilon_accelerate(table), _epsilon_reference(table))
         for rows in ([0], [1], [2], [3], [4], [3, 4], [1, 3], [2, 4]):
-            got, degraded = epsilon_accelerate(table[rows],
-                                               return_diagnostics=True)
-            want, want_degraded = _epsilon_reference(table[rows],
-                                                     return_diagnostics=True)
-            assert _same_bits(got, want)
-            assert degraded is want_degraded
+            got = epsilon_accelerate(table[rows])
+            assert _same_bits(got, _epsilon_reference(table[rows]))
             for row, value in zip(rows, got):
                 assert _same_bits(value, _epsilon_reference(table[row]))
 

@@ -272,9 +272,8 @@ class TestRandomizedInvariants:
             approx = near_outage_conditional_approx(eff, pair, params)
             for res in (far, exact, approx):
                 assert 0.0 <= res.probability <= 1.0
-                if res.flag is None:
-                    assert -1e-4 <= res.raw <= 1.0 + 1e-4, \
-                        f"raw outside budget in trial {trial}: {res}"
+                assert -1e-4 <= res.raw <= 1.0 + 1e-4, \
+                    f"raw outside budget in trial {trial}: {res}"
             assert exact.probability <= approx.probability + 2e-4
 
 
