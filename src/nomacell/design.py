@@ -40,10 +40,15 @@ __all__ = [
 _NULL_TOL = 1e-10
 _MAX_ENUMERATION = 5040
 _SUBSAMPLE = 1000
-# Rate-cap bisection: relative bracket width at which it stops, and the
-# halving cap that ends it when no rate is feasible.
+# Rate-cap search: relative bracket width at which it stops, and the cap
+# on evaluations below the bracket top that ends it when no rate is
+# feasible.  ITP truncation gain (times 1 / hi) and exponent, and the
+# steps it may take beyond bisection.
 _CAP_RTOL = 1e-9
 _CAP_ITERS = 60
+_ITP_K1 = 0.2
+_ITP_K2 = 2.0
+_ITP_N0 = 1
 # Upper end of a rate bracket that no link quantity bounds, in bit/s/Hz.
 _RATE_MAX = 64.0
 # Relative step of the pair optimizer's corner probes, and the relative
@@ -195,25 +200,39 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
 def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
     """Largest rate in (0, hi] with p(rate) <= epsilon (p nondecreasing).
 
-    Stops once the bracket is within `_CAP_RTOL` of its upper end, or after
-    `_CAP_ITERS` halvings; with no feasible rate the lower end stays 0, the
-    tolerance never triggers and the cap is 0.
+    ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2021) for the root of
+    g = p - epsilon, taking g(0) = -epsilon without evaluating 0: a
+    regula-falsi step, truncated and projected so that the bracket after j
+    steps is at most hi 2^(_ITP_N0 - j); a step onto a bracket end takes the
+    midpoint.  Stops at a bracket within `_CAP_RTOL` of its upper end, or
+    after `_CAP_ITERS` evaluations below hi.  Returns hi, the largest rate
+    it evaluated with p <= epsilon, or 0 when it found none.
     """
-    if p_of_rate(hi) <= epsilon:
+    g_b = p_of_rate(hi) - epsilon
+    if g_b <= 0.0:
         return hi
-    lo_ok = 0.0
-    hi_bad = hi
-    for _ in range(_CAP_ITERS):
-        if hi_bad - lo_ok <= _CAP_RTOL * hi_bad:
+    a, b, g_a = 0.0, hi, -epsilon
+    for j in range(_CAP_ITERS):
+        width = b - a
+        if width <= _CAP_RTOL * b:
             break
-        mid = 0.5 * (lo_ok + hi_bad)
-        if mid <= 0.0:
+        mid = 0.5 * (a + b)
+        x_f = (a * g_b - b * g_a) / (g_b - g_a)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = _ITP_K1 * width ** _ITP_K2 / hi
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = hi * 2.0 ** (_ITP_N0 - j - 1) - 0.5 * width
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        if not a < x < b:
+            x = mid
+        if x <= 0.0:
             break
-        if p_of_rate(mid) <= epsilon:
-            lo_ok = mid
+        g = p_of_rate(x) - epsilon
+        if g <= 0.0:
+            a, g_a = x, g
         else:
-            hi_bad = mid
-    return lo_ok
+            b, g_b = x, g
+    return a
 
 
 def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
@@ -227,14 +246,15 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     both rates, so a constrained optimum sits at the corner where both
     constraints bind: R_kt at the smaller of the far cap and the SIC cap
     (the near user's outage at a vanishing R_k), then R_k at the near cap
-    there.  The corner is returned when two one-sided probes, a step
-    `_CORNER_STEP` back along the near-cap boundary and in R_k alone, both
-    lose goodput.  Otherwise a golden-section search over R_kt maximizes
-    the best goodput at each R_kt: the unconstrained maximizer in R_k when
-    it meets epsilon, else the near cap.  The near-user constraint is the
-    exact joint outage: the decorrelated approximation double-charges the
-    interference budget of the two SIC stages and can push the solution
-    far off the true feasible boundary.
+    there, each cap found by `_bisect_rate_cap`'s ITP search.  The corner
+    is returned when two one-sided probes, a step `_CORNER_STEP` back along
+    the near-cap boundary and in R_k alone, both lose goodput.  Otherwise
+    a golden-section search over R_kt maximizes the best goodput at each
+    R_kt: the unconstrained maximizer in R_k when it meets epsilon, else
+    the near cap.  The near-user constraint is the exact joint outage: the
+    decorrelated approximation double-charges the interference budget of
+    the two SIC stages and can push the solution far off the true feasible
+    boundary.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")

@@ -204,30 +204,95 @@ class TestGoodput:
         assert total == pytest.approx(0.9, abs=1e-3)
 
 
+def _cap_curves():
+    """Outage curves for the cap search, each with the rate where it
+    crosses its epsilon: step edges at 25 log-spaced rates, logistic curves
+    of three relative widths with seeded centres and epsilons, and a curve
+    that meets epsilon at the top of the bracket."""
+    for edge in np.geomspace(1e-3, 63.9, 25):
+        yield pytest.param(lambda R, edge=edge: float(R > edge), 0.01, edge,
+                           id=f"step-{edge:.4g}")
+    rng = np.random.default_rng(20240717)
+    for width in (1e-3, 1e-2, 1e-1):
+        for _ in range(3):
+            centre = math.exp(rng.uniform(math.log(1e-2), math.log(60.0)))
+            w = width * centre
+            eps = math.exp(rng.uniform(math.log(1e-4), math.log(0.3)))
+            yield pytest.param(
+                lambda R, c=centre, w=w: 0.5 + 0.5 * math.tanh((R - c) / (2 * w)),
+                eps, centre + w * math.log(eps / (1.0 - eps)),
+                id=f"logistic-{width:g}-{centre:.4g}")
+    yield pytest.param(lambda R: 1e-3 * R / 64.0, 0.01, math.inf,
+                       id="feasible-at-top")
+
+
 class TestBisectRateCap:
-    def _midpoints(self, edge, hi=64.0, epsilon=0.01):
-        """Cap of a step outage with its edge at `edge`, and the rates it
-        evaluated below `hi`."""
-        rates = []
+    HI = 64.0
 
-        def p(R):
-            rates.append(R)
-            return 1.0 if R > edge else 0.0
+    def _search(self, p, epsilon):
+        """Cap of the curve `p`, and the (rate, outage) pairs it evaluated
+        below the top of the bracket."""
+        evaluated = []
 
-        cap = _bisect_rate_cap(p, epsilon, hi)
-        return cap, [R for R in rates if R < hi]
+        def recording(R):
+            evaluated.append((R, p(R)))
+            return evaluated[-1][1]
+
+        cap = _bisect_rate_cap(recording, epsilon, self.HI)
+        return cap, [(R, q) for R, q in evaluated if R < self.HI]
+
+    def _max_evaluations(self, edge):
+        # bisection's count for a 1e-9 bracket at `edge`, plus the n0 steps
+        # ITP may take beyond it
+        return (math.ceil(math.log2(self.HI / (design._CAP_RTOL * edge)))
+                + design._ITP_N0)
+
+    @pytest.mark.parametrize("p, epsilon, edge", list(_cap_curves()))
+    def test_contract_on_curve_family(self, p, epsilon, edge):
+        cap, evaluated = self._search(p, epsilon)
+        feasible = [R for R, q in evaluated if q <= epsilon]
+        assert cap in (self.HI, 0.0) or cap == max(feasible)
+        if cap != self.HI:
+            assert any(cap < R <= cap + design._CAP_RTOL * R
+                       for R, q in evaluated if q > epsilon)
+            assert len(evaluated) <= self._max_evaluations(edge)
+        else:
+            assert p(self.HI) <= epsilon and not evaluated
 
     def test_stops_at_the_relative_tolerance(self):
-        cap, mids = self._midpoints(0.0227)
+        cap, evaluated = self._search(lambda R: float(R > 0.0227), 0.01)
         assert cap <= 0.0227
-        bad = min(R for R in mids if R > 0.0227)
+        bad = min(R for R, _ in evaluated if R > 0.0227)
         assert bad - cap <= 1e-9 * bad
-        assert len(mids) <= 42
+        assert len(evaluated) <= self._max_evaluations(0.0227) == 43
 
     def test_no_feasible_rate_gives_zero_after_the_iteration_cap(self):
-        cap, mids = self._midpoints(-1.0)
+        cap, evaluated = self._search(lambda R: 1.0, 0.01)
         assert cap == 0.0
-        assert len(mids) == 60
+        assert len(evaluated) == 60
+
+
+def _record_near_evaluations(monkeypatch):
+    """Dict that collects every exact near-user result the optimizer
+    evaluates, keyed by (R_k, R_kt)."""
+    used, factory = {}, design._near_exact_evaluator
+
+    def recording(*args):
+        evaluate = factory(*args)
+
+        def call(R_k, R_kt):
+            used[R_k, R_kt] = evaluate(R_k, R_kt)
+            return used[R_k, R_kt]
+
+        return call
+
+    monkeypatch.setattr(design, "_near_exact_evaluator", recording)
+    return used
+
+
+def _fig7_link(params, scheme):
+    return build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717, scheme=scheme).link(1)
 
 
 class TestMaximizeGoodput:
@@ -275,10 +340,9 @@ class TestMaximizeGoodput:
 
     def test_unreachable_epsilon_gives_a_finite_answer(self):
         # no rate meets 1e-12 on the fig7 link at 20 dB, so the cap
-        # bisection halves down to rates where 2^R - 1 rounds to 0
+        # search descends to rates where 2^R - 1 rounds to 0
         params = NetworkParams()
-        link = build_scenario(params, PairConfig(), kappa=0.9,
-                              k_factor_db=20.0, seed=20240717).link(1)
+        link = _fig7_link(params, "aligned")
         sol = maximize_goodput(link, 1e-12, params)
         assert (sol.feasible, sol.goodput, sol.p_near, sol.p_far) == \
             (False, 0.0, 1.0, 1.0)
@@ -296,39 +360,30 @@ class TestMaximizeGoodput:
 
     @pytest.mark.parametrize("scheme", ["aligned", "plain"])
     def test_corner_is_certified_on_fig7_links(self, monkeypatch, scheme):
-        # both constraints bind on the fig7 links at 20 dB: the two cap
-        # bisections and the two probes settle it, with no search
+        # both constraints bind on the fig7 links at 20 dB: the cap
+        # searches and the two probes settle it, with no boundary search
+        # (33 near-user evaluations; halving from 64 took 82 and 88)
         params = NetworkParams()
-        link = build_scenario(params, PairConfig(), kappa=0.9,
-                              k_factor_db=20.0, seed=20240717,
-                              scheme=scheme).link(1)
-        calls, factory = [], design._near_exact_evaluator
-
-        def recording(*args):
-            evaluate = factory(*args)
-
-            def call(R_k, R_kt):
-                calls.append((R_k, R_kt))
-                return evaluate(R_k, R_kt)
-
-            return call
-
-        monkeypatch.setattr(design, "_near_exact_evaluator", recording)
+        link = _fig7_link(params, scheme)
+        calls = _record_near_evaluations(monkeypatch)
         sol = maximize_goodput(link, 1e-2, params)
         assert sol.feasible
-        assert len(calls) <= 110
+        assert len(calls) <= 45
         assert max(self._fresh_outages(link, sol, params)) <= 1e-2
 
-    def test_sic_bound_link_searches_the_boundary(self):
+    def test_sic_bound_link_searches_the_boundary(self, monkeypatch):
         # without interference the near user's SIC stage caps R_kt (1.127)
         # below the far cap (1.256); the near cap there is only 0.234, so the
         # boundary search takes over (the earlier pattern search reached
-        # 2.414468576)
+        # 2.414468576).  It makes 665 near-user evaluations, 1,025 when the
+        # caps halved from 64.
         params = NetworkParams(lambda_b=0.0)
         link = build_scenario(params, PairConfig(), k_factor_db=10.0,
                               seed=20240717).link(1)
+        calls = _record_near_evaluations(monkeypatch)
         sol = maximize_goodput(link, 1e-2, params)
         assert sol.goodput >= 2.414468576
+        assert len(calls) <= 800
         assert max(self._fresh_outages(link, sol, params)) <= 1e-2
 
     def test_interior_optimum_is_found(self, table_scenario, table_params):
@@ -371,20 +426,8 @@ def test_reused_grids_match_fresh_evaluations(monkeypatch, scheme):
     # 20 dB, equals a fresh evaluation bit for bit, and a replay in reverse
     # order through one evaluator changes none of them
     params = NetworkParams()
-    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
-                          seed=20240717, scheme=scheme).link(1)
-    used, factory = {}, design._near_exact_evaluator
-
-    def recording(*args):
-        evaluate = factory(*args)
-
-        def call(R_k, R_kt):
-            used[R_k, R_kt] = evaluate(R_k, R_kt)
-            return used[R_k, R_kt]
-
-        return call
-
-    monkeypatch.setattr(design, "_near_exact_evaluator", recording)
+    link = _fig7_link(params, scheme)
+    used = _record_near_evaluations(monkeypatch)
     maximize_goodput(link, 1e-2, params)
     monkeypatch.undo()
 
@@ -442,6 +485,25 @@ class TestBaselines:
         assert sol.goodput == pytest.approx(g_n + g_f, abs=1e-12)
         assert sol.R_k == pytest.approx(R_k)
         assert sol.R_kt == pytest.approx(R_kt)
+
+    @pytest.mark.parametrize("scheme", ["aligned", "plain"])
+    def test_oma_cap_searches_are_short_on_fig7_links(self, monkeypatch,
+                                                      scheme):
+        # 202 and 214 single-stream outages per call (252 and 258 when the
+        # caps halved from 64)
+        params = NetworkParams()
+        link = _fig7_link(params, scheme)
+        calls, outage_of = [], design.single_stream_outage_conditional
+
+        def counting(*args):
+            calls.append(args)
+            return outage_of(*args)
+
+        monkeypatch.setattr(design, "single_stream_outage_conditional",
+                            counting)
+        sol = baseline_goodput("oma", link, 1e-2, params)
+        assert sol.feasible
+        assert len(calls) <= 230
 
     def test_unknown_scheme_rejected(self, table_scenario, table_params):
         with pytest.raises(ValueError):
