@@ -140,20 +140,18 @@ def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,
     decoding stage decays to zero as sigma_h2 -> 0; above the far bound it
     climbs to one.
     """
+    def limit(eff, noise, scale, share):
+        # one stage of `_far_stage` / `_near_stages` at zero error: signal
+        # share |mu_k|^2 over the mean form, scale (1 - scale) |mu_k|^2 of
+        # own-stream interference and the noise
+        mu2 = eff.own_gain2
+        denom = (_projected_mean(eff, scale).sum()
+                 + scale * (1.0 - scale) * mu2 + noise)
+        return math.log2(1.0 + share * mu2 / denom) if denom > 0 else math.inf
+
     b2, bt2 = pair.beta_k2, pair.beta_kt2
     noise_far = eff_far.noise(pair.d_kt, params)
     noise_near = eff_near.noise(pair.d_k, params)
-
-    mu_far2 = eff_far.own_gain2
-    zeta2 = _projected_mean(eff_far, b2)
-    denom_far = zeta2.sum() + b2 * bt2 * mu_far2 + noise_far
-    far = math.log2(1.0 + bt2 * mu_far2 / denom_far) if denom_far > 0 else math.inf
-
-    mu_near2 = eff_near.own_gain2
-    proj1 = _projected_mean(eff_near, b2)
-    proj2 = _projected_mean(eff_near, 0.0)
-    denom_sic = proj1.sum() + b2 * bt2 * mu_near2 + noise_near
-    denom_own = proj2.sum() + noise_near
-    near_sic = math.log2(1.0 + bt2 * mu_near2 / denom_sic) if denom_sic > 0 else math.inf
-    near_own = math.log2(1.0 + b2 * mu_near2 / denom_own) if denom_own > 0 else math.inf
-    return RateThresholds(far, near_sic, near_own)
+    return RateThresholds(limit(eff_far, noise_far, b2, bt2),
+                          limit(eff_near, noise_near, b2, bt2),
+                          limit(eff_near, noise_near, 0.0, b2))

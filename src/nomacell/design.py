@@ -51,8 +51,8 @@ _ITP_K2 = 2.0
 _ITP_N0 = 1
 # Upper end of a rate bracket that no link quantity bounds, in bit/s/Hz.
 _RATE_MAX = 64.0
-# Relative step of the pair optimizer's corner probes, and the relative
-# bracket width at which its golden-section fallback stops.
+# Relative step of the optimizers' corner probes, and the relative bracket
+# width at which the pair optimizer's golden-section fallback stops.
 _CORNER_STEP = 1e-3
 _LINE_TOL = 1e-4
 # Points of the rate grid that brackets a single-stream optimum.
@@ -319,9 +319,10 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
     """Optimal delivered rate for an orthogonally scheduled user.
 
     The user holds the channel for a `share` fraction of the resource, so a
-    delivered rate R requires decoding at R / share.  A grid brackets the
-    goodput's maximum and golden-section search refines it.  Returns
-    (R, goodput, outage).
+    delivered rate R requires decoding at R / share.  The outage cap is
+    returned when a probe a step `_CORNER_STEP` below it loses goodput;
+    otherwise a grid brackets the goodput's maximum and golden-section
+    search refines it.  Returns (R, goodput, outage).
     """
     cfg = cfg or Inversion1DConfig()
 
@@ -335,6 +336,10 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
     cap = _bisect_rate_cap(p_of, min(epsilon, 1.0 - 1e-12), hard_cap)
     if cap <= 0.0:
         return 0.0, 0.0, 1.0
+    g_cap = cap * (1.0 - p_of(cap))
+    back = cap * (1.0 - _CORNER_STEP)
+    if back * (1.0 - p_of(back)) < g_cap:
+        return float(cap), float(g_cap), float(p_of(cap))
     axis = np.linspace(cap / _STREAM_GRID, cap, _STREAM_GRID)
     i = int(np.argmax([R * (1.0 - p_of(R)) for R in axis]))
     R, f = _golden_min(lambda R: -R * (1.0 - p_of(R)), axis[max(i - 1, 0)],

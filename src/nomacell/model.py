@@ -48,10 +48,10 @@ class NetworkParams:
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
+        if not self.K >= 1:
+            raise ValueError(f"K must be at least 1, got {self.K}")
         if self.K > min(self.M, self.N):
             raise ValueError(f"K={self.K} exceeds min(M, N)={min(self.M, self.N)}")
-        if self.K > 2 * self.N:
-            raise ValueError("K must not exceed 2N (alignment null space empty)")
         for name in ("lambda_b", "P", "rho_I", "sigma2"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")

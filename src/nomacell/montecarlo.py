@@ -94,12 +94,12 @@ def _draw_distances(mode: str, pair: PairConfig, params: NetworkParams,
         return pair.d_k, pair.d_kt
     if params.lambda_b <= 0:
         raise ValueError("distance averaging requires lambda_b > 0")
-    if mode == "average-random":
-        d = sample_serving_distances(params, rng, (n, 2))
-        return d.min(axis=1), d.max(axis=1)
-    d = sample_serving_distances(params, rng, (n, 2 * params.K))
+    # random grouping: the near and far users are ranks 1 and 2 of two draws
+    random = mode == "average-random"
+    d = sample_serving_distances(params, rng, (n, 2 if random else 2 * params.K))
     d.sort(axis=1)
-    return d[:, pair.r_k - 1], d[:, pair.r_kt - 1]
+    r_k, r_kt = (1, 2) if random else (pair.r_k, pair.r_kt)
+    return d[:, r_k - 1], d[:, r_kt - 1]
 
 
 def _interference(rng: np.random.Generator, params: NetworkParams, n: int,
@@ -150,32 +150,23 @@ def _chunk_counts(scenario: Scenario, mode: str, n: int,
     params = scenario.params
     link = scenario.link(pair_index)
     pair = link.pair
-    est_n = scenario.ests_near[pair_index - 1]
-    est_f = scenario.ests_far[pair_index - 1]
-    u_n = scenario.design.u_near[pair_index - 1]
-    u_f = scenario.design.u_far[pair_index - 1]
-    V = scenario.design.V
+    design, k = scenario.design, pair_index - 1
+    V = design.V
+    receivers = ((scenario.ests_near[k], design.u_near[k], link.eff_near),
+                 (scenario.ests_far[k], design.u_far[k], link.eff_far))
 
-    d_near, d_far = _draw_distances(mode, pair, params, rng, n)
-    I_n_raw, I_f_raw = _interference(rng, params, n, d_near, d_far,
-                                     window_radius, exclusion)
-    I_n = params.rho_I * abs(np.sum(u_n.conj())) ** 2 * I_n_raw
-    I_f = params.rho_I * abs(np.sum(u_f.conj())) ** 2 * I_f_raw
-
-    mu_n = u_n.conj() @ est_n.H_hat @ V
-    mu_f = u_f.conj() @ est_f.H_hat @ V
-    chi_n = _filtered_error(u_n, sample_error_matrix(est_n, rng, size=n), V)
-    chi_f = _filtered_error(u_f, sample_error_matrix(est_f, rng, size=n), V)
-
-    ell_P_n = params.P * np.asarray(d_near) ** (-params.alpha)
-    ell_P_f = params.P * np.asarray(d_far) ** (-params.alpha)
-    noise_n = params.sigma2 * float(np.linalg.norm(u_n) ** 2)
-    noise_f = params.sigma2 * float(np.linalg.norm(u_f) ** 2)
-
-    sinr_sic, sinr_own = _sinr_pair(mu_n, chi_n, link.eff_near.stream,
-                                    pair.beta_k2, ell_P_n, I_n, noise_n)
-    sinr_far, _ = _sinr_pair(mu_f, chi_f, link.eff_far.stream, pair.beta_k2,
-                             ell_P_f, I_f, noise_f)
+    dists = _draw_distances(mode, pair, params, rng, n)
+    fields = _interference(rng, params, n, *dists, window_radius, exclusion)
+    sinrs = []  # near receiver first: its errors are drawn first
+    for (est, u, eff), d, I_raw in zip(receivers, dists, fields):
+        I = params.rho_I * abs(np.sum(u.conj())) ** 2 * I_raw
+        mu = u.conj() @ est.H_hat @ V
+        chi = _filtered_error(u, sample_error_matrix(est, rng, size=n), V)
+        ell_P = params.P * np.asarray(d) ** (-params.alpha)
+        noise = params.sigma2 * float(np.linalg.norm(u) ** 2)
+        sinrs.append(_sinr_pair(mu, chi, eff.stream, pair.beta_k2, ell_P, I,
+                                noise))
+    (sinr_sic, sinr_own), (sinr_far, _) = sinrs
 
     t_far = 2.0 ** pair.R_kt - 1.0
     t_near = 2.0 ** pair.R_k - 1.0

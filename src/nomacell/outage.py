@@ -81,9 +81,6 @@ class OutageResult:
     raw: float
     flag: str | None = None
 
-    def __float__(self) -> float:
-        return self.probability
-
 
 def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
                       stream: int, params: NetworkParams) -> EffectiveChannel:

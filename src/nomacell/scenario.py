@@ -76,42 +76,34 @@ def build_scenario(params: NetworkParams,
     sigma_h2 = error_variance_for_k_factor(10.0 ** (k_factor_db / 10.0),
                                            h_norm2, R_t, R_r)
 
-    streams = np.random.SeedSequence(seed).spawn(2 * params.K)
-    rngs = [np.random.default_rng(s) for s in streams]
-    H_near = [sample_channel_matrix(params.N, params.M, h_norm2, rngs[2 * k])
-              for k in range(params.K)]
-    H_far = [sample_channel_matrix(params.N, params.M, h_norm2, rngs[2 * k + 1])
-             for k in range(params.K)]
-
-    ests_near = tuple(ChannelEstimate(H, R_t, R_r, sigma_h2) for H in H_near)
-    ests_far = tuple(ChannelEstimate(H, R_t, R_r, sigma_h2) for H in H_far)
+    # near and far estimates alternate, one spawned stream each
+    ests = [ChannelEstimate(sample_channel_matrix(params.N, params.M, h_norm2,
+                                                  np.random.default_rng(s)),
+                            R_t, R_r, sigma_h2)
+            for s in np.random.SeedSequence(seed).spawn(2 * params.K)]
+    ests_near, ests_far = tuple(ests[0::2]), tuple(ests[1::2])
 
     if scheme == "aligned":
-        design = build_precoder(list(zip(H_near, H_far)), params)
-        u_near, u_far = design.u_near, design.u_far
+        design = build_precoder([(n.H_hat, f.H_hat)
+                                 for n, f in zip(ests_near, ests_far)], params)
         V = design.V
     elif scheme == "plain":
         V = np.eye(params.M, dtype=complex)[:, :params.K]
-        u_near = np.array([_matched_filter(ests_near[k], V, k)
-                           for k in range(params.K)])
-        u_far = np.array([_matched_filter(ests_far[k], V, k)
-                          for k in range(params.K)])
-        design = LinearDesign(V=V, u_near=u_near, u_far=u_far,
+        u = np.array([_matched_filter(est, V, i // 2)
+                      for i, est in enumerate(ests)])
+        design = LinearDesign(V=V, u_near=u[0::2], u_far=u[1::2],
                               L=V.copy(), gamma=np.ones(params.K),
                               flags=("plain",))
     else:
         raise ValueError(f"unknown design scheme {scheme!r}")
 
     links = []
-    for k in range(1, params.K + 1):
-        r_k, r_kt = policy.ranks(k, params.K)
-        pair = PairConfig(template.beta_k2, template.R_k, template.R_kt,
-                          template.d_k, template.d_kt, r_k, r_kt)
-        eff_n = effective_channel(ests_near[k - 1], V, u_near[k - 1], k - 1,
-                                  params)
-        eff_f = effective_channel(ests_far[k - 1], V, u_far[k - 1], k - 1,
-                                  params)
-        links.append(PairLink(eff_n, eff_f, pair))
+    for k in range(params.K):
+        r_k, r_kt = policy.ranks(k + 1, params.K)
+        effs = [effective_channel(side[k], V, filters[k], k, params)
+                for side, filters in ((ests_near, design.u_near),
+                                      (ests_far, design.u_far))]
+        links.append(PairLink(*effs, replace(template, r_k=r_k, r_kt=r_kt)))
     return Scenario(params=params, policy=policy,
                     ests_near=ests_near, ests_far=ests_far, design=design,
                     links=tuple(links))

@@ -86,6 +86,13 @@ class TestRateThresholds:
         assert th.R_kt_max_near == pytest.approx(want, abs=5e-4)
         assert th.R_k_max_near > th.R_kt_max_near
 
+    def test_pinned_values(self, free_link):
+        # one limit per decoding stage, bit for bit
+        th = rate_thresholds(free_link.eff_far, free_link.eff_near,
+                             free_link.pair, FREE)
+        assert (th.R_kt_max_far, th.R_kt_max_near, th.R_k_max_near) == \
+            (1.7369076525740923, 1.7369640877462957, 19.354638549168097)
+
     def test_zero_denominator_sentinel(self):
         params = NetworkParams(lambda_b=0.0, sigma2=0.0, M=1, N=1, K=1)
         from nomacell import ChannelEstimate, effective_channel

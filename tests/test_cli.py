@@ -217,6 +217,9 @@ BAD_CONFIGS = [
                  id="sigma2_dbm-nan"),
     pytest.param("network.cell_constant = 0\n", "c must be positive",
                  id="cell-constant-zero"),
+    pytest.param("network.pairs = 0\n", "K must be at least 1", id="pairs-zero"),
+    pytest.param("network.pairs = -1\n", "K must be at least 1",
+                 id="pairs-negative"),
     pytest.param("pair.d_near = nan\n", "distances", id="d_near-nan"),
     pytest.param("pair.d_far = nan\n", "distances", id="d_far-nan"),
     pytest.param("pair.rate_ratio = nan\n", "pair.rate_ratio",

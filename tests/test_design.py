@@ -290,8 +290,8 @@ def _record_near_evaluations(monkeypatch):
     return used
 
 
-def _fig7_link(params, scheme):
-    return build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+def _fig7_link(params, scheme, k_db=20.0):
+    return build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=k_db,
                           seed=20240717, scheme=scheme).link(1)
 
 
@@ -489,8 +489,8 @@ class TestBaselines:
     @pytest.mark.parametrize("scheme", ["aligned", "plain"])
     def test_oma_cap_searches_are_short_on_fig7_links(self, monkeypatch,
                                                       scheme):
-        # 202 and 214 single-stream outages per call (252 and 258 when the
-        # caps halved from 64)
+        # the cap probe settles both users: 28 and 40 single-stream outages
+        # per call (202 and 214 through the rate grid)
         params = NetworkParams()
         link = _fig7_link(params, scheme)
         calls, outage_of = [], design.single_stream_outage_conditional
@@ -503,7 +503,15 @@ class TestBaselines:
                             counting)
         sol = baseline_goodput("oma", link, 1e-2, params)
         assert sol.feasible
-        assert len(calls) <= 230
+        assert len(calls) <= 50
+
+    @pytest.mark.parametrize("scheme", ["aligned", "plain"])
+    @pytest.mark.parametrize("k_db", [10.0, 20.0, 30.0, 40.0])
+    def test_oma_meets_epsilon_on_fig7_links(self, scheme, k_db):
+        params = NetworkParams()
+        sol = baseline_goodput("oma", _fig7_link(params, scheme, k_db), 1e-2,
+                               params)
+        assert sol.p_near <= 1e-2 and sol.p_far <= 1e-2
 
     def test_unknown_scheme_rejected(self, table_scenario, table_params):
         with pytest.raises(ValueError):
