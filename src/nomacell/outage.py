@@ -149,19 +149,20 @@ def _near_stages(eff: EffectiveChannel, pair: PairConfig,
     return (pair.beta_k2, theta_sic - shift), (0.0, theta_own)
 
 
-def _quadform_transform_1d(zeta2: np.ndarray, delta: np.ndarray, phi_fn):
+def _quadform_transform_1d(zeta2: np.ndarray, delta: np.ndarray, phi):
     """Success-probability transform of a noncentral Gaussian quadratic form.
 
     F(s) = prod_i exp(-s zeta2_i / (1 + s delta_i)) * phi(s)
            / (s prod_i (1 + s delta_i))
     where phi carries the interference (and, for averages, distance/noise)
-    factor.
+    factor; None stands for phi = 1.
     """
     def F(s):
         s = np.asarray(s, dtype=complex)
         d = 1.0 + np.multiply.outer(s, delta)
         expo = -np.sum(np.multiply.outer(s, zeta2) / d, axis=-1)
-        return np.exp(expo) * phi_fn(s) / (s * np.prod(d, axis=-1))
+        num = np.exp(expo) if phi is None else np.exp(expo) * phi(s)
+        return num / (s * np.prod(d, axis=-1))
 
     return F
 
@@ -184,14 +185,14 @@ def _concentration_margin(zeta2: np.ndarray, delta: np.ndarray, tau: float):
 
 
 def _interference_phi(omega: float, d: float, params: NetworkParams):
-    """Interference factor of the conditional transforms; the second return
-    marks an interference-free network, where the factor is the constant 1
-    (exactly what exp(-0 s^(2/alpha)) gives, without the complex power)."""
+    """Interference factor exp(-c s^(2/alpha)) of the conditional
+    transforms, or None in an interference-free network, where the factor
+    is the constant 1."""
     expo = 2.0 / params.alpha
     coeff = math.pi * params.lambda_b * omega * d * d
     if coeff == 0.0:
-        return (lambda s: 1.0), True
-    return (lambda s: np.exp(-coeff * s ** expo)), False
+        return None
+    return lambda s: np.exp(-coeff * s ** expo)
 
 
 def _clamp(raw: float) -> OutageResult:
@@ -199,14 +200,14 @@ def _clamp(raw: float) -> OutageResult:
 
 
 def _outage(eff: EffectiveChannel, pair: PairConfig | None, stages, phi,
-            trivial: bool, cfg: Inversion1DConfig | None) -> OutageResult:
+            cfg: Inversion1DConfig | None) -> OutageResult:
     """Outage of independent stages: 1 - prod of the stage successes.
 
     An infeasible rate split (`pair` is None for an exclusively scheduled
     stream) or a nonpositive threshold makes outage certain (flagged); an
-    infinite threshold (zero rate) makes its stage succeed.  With `trivial`
-    (no interference) a stage whose threshold sits far outside the form's
-    spread band is decided without inversion.
+    infinite threshold (zero rate) makes its stage succeed.  Without
+    interference (`phi` is None) a stage whose threshold sits far outside
+    the form's spread band is decided without inversion.
     """
     if pair is not None and not pair.feasible:
         return OutageResult(1.0, 1.0, "infeasible_rate_split")
@@ -217,7 +218,8 @@ def _outage(eff: EffectiveChannel, pair: PairConfig | None, stages, phi,
         if tau == math.inf:
             continue
         zeta2 = _projected_mean(eff, scale)
-        q_stage = _concentration_margin(zeta2, eff.delta, tau) if trivial else None
+        q_stage = (_concentration_margin(zeta2, eff.delta, tau) if phi is None
+                   else None)
         if q_stage is None:
             q_stage = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi),
                                 tau, cfg)
@@ -230,8 +232,8 @@ def far_outage_conditional(eff: EffectiveChannel, pair: PairConfig,
                            cfg: Inversion1DConfig | None = None) -> OutageResult:
     """Far-user outage given the channel state and link distance."""
     stage = _far_stage(eff, pair, eff.noise(pair.d_kt, params))
-    phi, trivial = _interference_phi(eff.omega, pair.d_kt, params)
-    return _outage(eff, pair, (stage,), phi, trivial, cfg)
+    phi = _interference_phi(eff.omega, pair.d_kt, params)
+    return _outage(eff, pair, (stage,), phi, cfg)
 
 
 def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -246,19 +248,19 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
     def phi(s):
         return policy_laplace_factor(s, mixture, eff.omega, sigma_u2, params)
 
-    return _outage(eff, pair, (_far_stage(eff, pair, 0.0),), phi, False, cfg)
+    return _outage(eff, pair, (_far_stage(eff, pair, 0.0),), phi, cfg)
 
 
-def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
-    """Two-variable success transform of the joint SIC event.
+def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
+    """Form of the two-variable success transform of the joint SIC event.
 
-    The diagonal scaling matrices of the two stacked quadratic forms enter
+    The transform is this form times the interference (or
+    distance-averaged) factor of s + t, which `invert_2d` applies.  The
+    diagonal scaling matrices of the two stacked quadratic forms enter
     only through a handful of projections onto the error eigenbasis, which
-    are precomputed.  The transform then loops over the K eigencomponents,
-    each term evaluated on a whole (s, t) grid at once, accumulating the
+    are precomputed.  The form then loops over the K eigencomponents, each
+    term evaluated on a whole (s, t) grid at once, accumulating the
     exponent and the product s t prod_i (1 + (s + t) delta_i).
-    `phi_of_sum` maps the combined variable s + t to the interference (or
-    distance-averaged) factor.
     """
     mu, delta, Psi = eff.mu, eff.delta, eff.Psi
     b2, bt2 = pair.beta_k2, pair.beta_kt2
@@ -285,7 +287,7 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi_of_sum):
             right = delta[i] * s_bt2_t * q_proj[i] + w_proj[i]
             quad = quad + left * right / denom
             den = den * denom
-        return np.exp(-quad) * phi_of_sum(u) / den
+        return np.exp(-quad) / den
 
     return F
 
@@ -299,7 +301,8 @@ class _NearJoint:
     builds it once and keeps its most recently used transform grids
     (`invert_2d`'s `grids`); rates whose abscissae fall on the same
     period-ladder rungs share a grid, and the value is bit-identical to a
-    fresh evaluation.
+    fresh evaluation.  `phi` is the factor of s + t, or None without
+    interference.
     `_outage` decides an infeasible split or a nonpositive abscissa, and
     takes a zero rate, which makes one stage certain and reduces the event
     to the other stage's 1D marginal; without interference, forms far
@@ -307,9 +310,9 @@ class _NearJoint:
     """
 
     def __init__(self, eff: EffectiveChannel, pair: PairConfig, noise: float,
-                 phi, trivial: bool, cfg: Inversion2DConfig | None):
+                 phi, cfg: Inversion2DConfig | None):
         self.eff, self.pair, self.noise = eff, pair, noise
-        self.phi, self.trivial, self.cfg = phi, trivial, cfg
+        self.phi, self.cfg = phi, cfg
         self.transform = None
         self.grids: dict = {}
 
@@ -319,8 +322,8 @@ class _NearJoint:
         stages = _near_stages(eff, pair, theta_sic, theta_own)
         if (not pair.feasible or theta_sic <= 0.0 or theta_own <= 0.0
                 or math.inf in (theta_sic, theta_own)):
-            return _outage(eff, pair, stages, self.phi, self.trivial, None)
-        if self.trivial:
+            return _outage(eff, pair, stages, self.phi, None)
+        if self.phi is None:
             certain = [_concentration_margin(_projected_mean(eff, scale),
                                              eff.delta, tau)
                        for scale, tau in stages]
@@ -329,9 +332,9 @@ class _NearJoint:
             if certain == [1.0, 1.0]:
                 return OutageResult(0.0, 0.0)
         if self.transform is None:
-            self.transform = _near_joint_transform(eff, pair, self.phi)
+            self.transform = _near_joint_transform(eff, pair)
         q = invert_2d(self.transform, theta_sic, theta_own, self.cfg,
-                      grids=self.grids)
+                      grids=self.grids, phi=self.phi)
         return _clamp(1.0 - q)
 
 
@@ -340,9 +343,8 @@ def _near_exact_evaluator(eff: EffectiveChannel, pair: PairConfig,
                           cfg: Inversion2DConfig | None = None) -> _NearJoint:
     """`near_outage_conditional_exact` of one link as a function of
     (R_k, R_kt) that reuses transform grids across calls."""
-    phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    return _NearJoint(eff, pair, eff.noise(pair.d_k, params), phi, trivial,
-                      cfg)
+    return _NearJoint(eff, pair, eff.noise(pair.d_k, params),
+                      _interference_phi(eff.omega, pair.d_k, params), cfg)
 
 
 def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
@@ -364,8 +366,8 @@ def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
     """
     stages = _near_stages(eff, pair, *_near_abscissae(
         eff, pair, eff.noise(pair.d_k, params)))
-    phi, trivial = _interference_phi(eff.omega, pair.d_k, params)
-    return _outage(eff, pair, stages, phi, trivial, cfg)
+    phi = _interference_phi(eff.omega, pair.d_k, params)
+    return _outage(eff, pair, stages, phi, cfg)
 
 
 def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
@@ -379,8 +381,15 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
     streams interfere.
     """
     theta = eff.own_gain2 * _inv_snr_gap(rate) - eff.noise(d, params)
-    phi, trivial = _interference_phi(eff.omega, d, params)
-    return _outage(eff, None, ((0.0, theta),), phi, trivial, cfg)
+    phi = _interference_phi(eff.omega, d, params)
+    return _outage(eff, None, ((0.0, theta),), phi, cfg)
+
+
+# Points per distance-averaged factor pass (one row of the default 2D grid):
+# the exp-sinh rule's intermediates hold one value per node, point and
+# mixture term, about 0.7 MB per term here, where one pass over all 18,721
+# grid points raised peak memory by about 120 MB.
+_FACTOR_CHUNK = 193
 
 
 def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -391,17 +400,17 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
 
     The same joint evaluation as `near_outage_conditional_exact`, with the
     distance-averaged factor of s + t in place of the conditional one.
-    The factor is evaluated one grid row at a time: on the whole grid, the
-    exp-sinh rule's intermediates (one value per node and grid point)
-    would raise peak memory by about 120 MB.
+    `invert_2d` asks for it once per distinct s + t, and it is evaluated
+    `_FACTOR_CHUNK` points at a time.
     """
     rank = pair.r_k if policy.variant == "distance" else 1
     mixture = distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
 
     def phi(u):
-        return np.stack([policy_laplace_factor(row, mixture, eff.omega,
-                                               sigma_u2, params)
-                         for row in u])
+        return np.concatenate([
+            policy_laplace_factor(u[i:i + _FACTOR_CHUNK], mixture, eff.omega,
+                                  sigma_u2, params)
+            for i in range(0, len(u), _FACTOR_CHUNK)])
 
-    return _NearJoint(eff, pair, 0.0, phi, False, cfg)(pair.R_k, pair.R_kt)
+    return _NearJoint(eff, pair, 0.0, phi, cfg)(pair.R_k, pair.R_kt)

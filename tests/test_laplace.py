@@ -6,10 +6,10 @@ import pytest
 from scipy.special import erfc
 
 from nomacell import (Inversion1DConfig, Inversion2DConfig, NetworkParams,
-                      build_scenario,
+                      PairConfig, build_scenario,
                       epsilon_accelerate, invert_1d, invert_2d,
                       near_outage_conditional_exact)
-from nomacell import laplace
+from nomacell import laplace, outage
 
 
 def _wynn_columns(sums):
@@ -203,6 +203,103 @@ class TestInvert2D:
             for point in rungs[-laplace._MAX_GRIDS:]]
 
 
+def _coupled_form(s, t):
+    """A transform coupling s and t, without a factor of s + t."""
+    u = 1.0 + s + t
+    return np.exp(-(0.3 * s + 0.2 * t) / u) / (s * t * u)
+
+
+def _factor(u):
+    """A factor of u = s + t shaped like the interference factor."""
+    return np.exp(-0.4 * u ** 0.5)
+
+
+def _node_grid(periods, cfg):
+    """(s, t) broadcast grids of `invert_2d` at the periods."""
+    T1, T2, c1, c2 = periods
+    n_max = cfg.L + 2 * cfg.p_eps
+    s = c1 + 1j * math.pi * np.arange(0, n_max + 1)[:, None] / T1
+    t = c2 + 1j * math.pi * np.arange(-n_max, n_max + 1)[None, :] / T2
+    return s, t
+
+
+class TestFactorLattice:
+    # (theta1, theta2, distinct keys): T1 / T2 = 8, its mirror 1/8, an odd
+    # rung difference raised to T1 / T2 = 4, and T1 / T2 = 256, where no
+    # two nodes share a key
+    POINTS = [(8.0, 1.0, 1633), (1.0, 8.0, 961), (2.0 ** 1.5, 1.0, 865),
+              (256.0, 1.0, 18721)]
+
+    @pytest.mark.parametrize("theta1, theta2, keys", POINTS)
+    def test_factor_runs_once_per_distinct_key(self, theta1, theta2, keys):
+        seen = []
+
+        def counting(u):
+            seen.append(u.shape)
+            return _factor(u)
+
+        cfg = Inversion2DConfig()
+        periods = cfg.resolve(theta1, theta2, lattice=True)
+        grid = laplace._transform_grid(_coupled_form, counting, periods, cfg)
+        assert seen == [(keys,)]
+        assert keys <= grid.size == 97 * 193
+
+    @pytest.mark.parametrize("theta1, theta2", [p[:2] for p in POINTS])
+    def test_lattice_grid_matches_per_node_evaluation(self, theta1, theta2):
+        # the lattice rounds Im(s + t) once instead of per node, so the
+        # grids differ by about 1e-16 |log phi| relative (2e-15 measured)
+        cfg = Inversion2DConfig()
+        periods = cfg.resolve(theta1, theta2, lattice=True)
+        grid = laplace._transform_grid(_coupled_form, _factor, periods, cfg)
+        s, t = _node_grid(periods, cfg)
+        want = _coupled_form(s, t) * _factor(s + t)
+        np.testing.assert_allclose(grid, want, rtol=1e-13, atol=0)
+
+    def test_constant_factor_keeps_the_plain_ladder(self):
+        # an odd rung difference, which the lattice rule would raise: a
+        # transform without factor keeps the plain periods
+        theta1, theta2 = 2.0 ** 1.5, 1.0
+        cfg = Inversion2DConfig()
+        assert cfg.resolve(theta1, theta2) != cfg.resolve(theta1, theta2,
+                                                          lattice=True)
+        grids = {}
+        invert_2d(_coupled_form, theta1, theta2, grids=grids)
+        assert [key[2:] for key in grids] == [cfg.resolve(theta1, theta2)]
+
+    @pytest.mark.parametrize("R_kt, bits", [(1.74, "0x1.d4574d67b176fp-1"),
+                                            (1.72, "0x1.a01be18ab8000p-15")])
+    def test_interference_free_near_user_keeps_its_bits(self, monkeypatch,
+                                                        R_kt, bits):
+        # at lambda_b = 0 the near user's inversion runs without a factor,
+        # on the plain periods, and gives the bits it gave before the
+        # lattice rule (the fig6 points, whose rungs differ by an odd count)
+        params = NetworkParams(lambda_b=0.0)
+        link = build_scenario(params, PairConfig(R_k=2 * R_kt, R_kt=R_kt),
+                              kappa=0.9, k_factor_db=50.0,
+                              seed=20240717).link(1)
+        calls = []
+
+        def recording(transform, theta1, theta2, config=None, grids=None,
+                      phi=None):
+            calls.append((theta1, theta2, phi, grids))
+            return invert_2d(transform, theta1, theta2, config, grids, phi)
+
+        monkeypatch.setattr(outage, "invert_2d", recording)
+        got = near_outage_conditional_exact(link.eff_near, link.pair, params)
+        (theta1, theta2, phi, grids), = calls
+        assert phi is None
+        cfg = Inversion2DConfig()
+        assert [key[2:] for key in grids] == [cfg.resolve(theta1, theta2)]
+        assert cfg.resolve(theta1, theta2) != cfg.resolve(theta1, theta2,
+                                                          lattice=True)
+        assert got.raw.hex() == bits
+
+
+def _rung_above(T):
+    """The next half-period up the ladder from T."""
+    return 1.25 * 2.0 ** (0.5 * (round(2 * math.log2(T / 1.25)) + 1))
+
+
 class TestPeriodLadder:
     @staticmethod
     def _abscissae():
@@ -221,6 +318,23 @@ class TestPeriodLadder:
                 j = round(2 * math.log2(T / 1.25))
                 assert T == 1.25 * 2.0 ** (0.5 * j), th
                 assert lowest < th / T <= 0.8, th
+
+    def test_lattice_periods_are_a_power_of_two_apart(self):
+        # the s axis goes at most one rung up, to theta1 / T1 in (0.4, 0.8]
+        cfg = Inversion2DConfig()
+        lowest = 0.8 / math.sqrt(2) * (1 - 1e-12)
+        for theta in self._abscissae():
+            for theta1, theta2 in ((theta, 1.0 / theta), (theta, 1.7),
+                                   (0.3, theta)):
+                T1, T2, _, _ = cfg.resolve(theta1, theta2, lattice=True)
+                plain_T1, plain_T2, _, _ = cfg.resolve(theta1, theta2)
+                assert T2 == plain_T2
+                assert T1 in (plain_T1, _rung_above(plain_T1))
+                k = math.log2(T1 / T2)
+                assert k == round(k), (theta1, theta2)
+                assert 0.4 * (1 - 1e-12) < theta1 / T1 <= 0.8, theta1
+                assert lowest < theta2 / T2 <= 0.8, theta2
+                assert T1 / plain_T1 <= math.sqrt(2) * (1 + 1e-15)
 
 
 class TestEpsilonAcceleration:
@@ -273,6 +387,16 @@ class TestEpsilonAcceleration:
         assert got[1] == table[1, -1]
         assert got[2] == 1.0            # frozen after the exact e_2 column
         assert abs(got[3] - math.log(2)) <= 1e-12
+
+    def test_nan_row_does_not_hide_a_freezing_row(self, rng):
+        # a NaN difference compares false, so a batch-wide minimum would
+        # miss the exact e_2 column of the second row
+        table = _tables(rng)[[3, 2]]
+        table[0, 5] = np.nan
+        got = epsilon_accelerate(table)
+        assert np.isnan(got[0])
+        assert got[1] == 1.0
+        assert _same_bits(got[1], _epsilon_reference(table[1]))
 
     def test_leading_axes_are_independent_tables(self, rng):
         stack = np.stack([_tables(rng), _tables(rng)])

@@ -489,9 +489,9 @@ def test_shared_shortcuts(monkeypatch, case, op, lambda_b, kdb, edit_link,
     assert (res.probability, res.raw, res.flag) == want
 
 
-def _broadcast_joint_transform(eff, pair, phi_of_sum):
-    """The near-joint transform as one broadcast over a trailing length-K
-    eigen axis; the per-component loop must match it to rounding."""
+def _broadcast_joint_transform(eff, pair):
+    """The near-joint transform's form as one broadcast over a trailing
+    length-K eigen axis; the per-component loop must match it to rounding."""
     mu, delta, Psi = eff.mu, eff.delta, eff.Psi
     b2, bt2 = pair.beta_k2, pair.beta_kt2
     k = eff.stream
@@ -508,8 +508,7 @@ def _broadcast_joint_transform(eff, pair, phi_of_sum):
         left = u_exp * p_proj + (s * b2)[..., None] * r_proj
         right = delta * (s * bt2 + t)[..., None] * q_proj + w_proj
         quad = np.sum(left * right / denom, axis=-1)
-        return (np.exp(-quad) * phi_of_sum(u)
-                / (s * t * np.prod(denom, axis=-1)))
+        return np.exp(-quad) / (s * t * np.prod(denom, axis=-1))
 
     return F
 
@@ -520,15 +519,14 @@ def _broadcast_joint_transform(eff, pair, phi_of_sum):
 def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
                                                 average):
     # on the grids invert_2d builds, for every pair (so the own stream is
-    # not always the first) and through the average's distance factor
+    # not always the first) and on the average's periods
     params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
     sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
                         policy=_RANDOM)
     joint, grids = outage._near_joint_transform, []
 
-    def recording(eff, pair, phi):
-        F, ref = joint(eff, pair, phi), _broadcast_joint_transform(eff, pair,
-                                                                   phi)
+    def recording(eff, pair):
+        F, ref = joint(eff, pair), _broadcast_joint_transform(eff, pair)
 
         def both(s, t):
             got = F(s, t)
