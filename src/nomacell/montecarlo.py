@@ -4,12 +4,15 @@ Draws Kronecker estimation errors and shot-noise interferer fields, forms
 the three decoding SINRs exactly and counts threshold successes.  Trials
 are processed in fixed-size chunks, each with its own substream spawned
 from the master seed, so results are reproducible and order-independent.
-Within a chunk the interferer field is evaluated block by block, so its
-memory is bounded by the two draw arrays (radii and angles) plus one
-block's temporaries.
+Within a chunk the interferer field is evaluated block by block of whole
+trials: each block draws its own radii and angles, from the stream
+positions that whole-chunk arrays would have taken, so the memory is one
+block's temporaries, and each trial's path-loss sum is pairwise over its
+own points, whatever the block size.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -102,33 +105,58 @@ def _draw_distances(mode: str, pair: PairConfig, params: NetworkParams,
     return d[:, r_k - 1], d[:, r_kt - 1]
 
 
+def _sin2_half_angle(v: np.ndarray) -> np.ndarray:
+    """sin^2(phi / 2) for phi = 2 pi v, computed in place of v in [0, 1).
+
+    Uses sin(phi / 2) = 2 t / (1 + t^2) with t = tan(phi / 4) in [0, inf):
+    numpy's float64 `tan` is vectorized where `sin` may go through scalar
+    libm, and the expression keeps full relative precision.  (pi / 2) v has
+    the bits of uniform(0, 2 pi) / 4 drawn from the same raw double v.
+    """
+    v *= 0.5 * math.pi
+    np.tan(v, out=v)
+    h = v * v
+    h += 1.0
+    np.divide(v, h, out=v)
+    v **= 2
+    v *= 4.0
+    return v
+
+
 def _interference(rng: np.random.Generator, params: NetworkParams, n: int,
                   d_near, d_far, window_radius: float, exclusion: str):
     """Shot-noise path-loss sums seen by both users from one shared BS field,
-    evaluated in blocks of whole trials, each summed in draw order."""
+    evaluated in blocks of whole trials, each trial summed pairwise.
+
+    The draws are those of `rng.poisson` counts, then `rng.random(total)`
+    radii, then `rng.uniform(0, 2 pi, total)` angles, and `rng` ends in the
+    state they leave; each block draws its share of the radii from `rng`
+    and of the angles from a copy advanced past the radii.
+    """
     if params.lambda_b <= 0:
         return np.zeros(n), np.zeros(n)
     W = min(window_radius,
             math.sqrt(_MAX_MEAN_POINTS / (params.lambda_b * math.pi)))
     counts = rng.poisson(params.lambda_b * math.pi * W * W, size=n)
     ends = np.cumsum(counts)
-    u = rng.random(int(ends[-1]))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=u.size)
+    bits = rng.bit_generator
+    angles = np.random.Generator(copy.deepcopy(bits))
+    angles.bit_generator.advance(int(ends[-1]))  # one word per double
     sums = np.zeros((2, n))
     t0 = p0 = 0
     while t0 < n:
         t1 = max(int(np.searchsorted(ends, p0 + _BLOCK_POINTS, "right")),
                  t0 + 1)
         p1 = int(ends[t1 - 1])
-        trial = np.repeat(np.arange(t1 - t0), counts[t0:t1])
-        r = np.sqrt(u[p0:p1])
+        filled = counts[t0:t1] > 0
+        firsts = (ends[t0:t1] - counts[t0:t1] - p0)[filled]
+        r = np.sqrt(rng.random(p1 - p0))
         r *= W
         # Squared distance from a user at (d, 0) by the law of cosines,
         # written as (r - d)^2 + 4 r d sin^2(phi / 2): a sum of two
         # nonnegative terms, each to full relative precision even for a
         # point next to the user.
-        four_r_hav = np.sin(0.5 * phi[p0:p1])
-        four_r_hav **= 2
+        four_r_hav = _sin2_half_angle(angles.random(p1 - p0))
         four_r_hav *= 4.0 * r
         for i, d in enumerate((d_near, d_far)):
             offs = np.repeat(d[t0:t1], counts[t0:t1]) if np.ndim(d) else d
@@ -139,8 +167,14 @@ def _interference(rng: np.random.Generator, params: NetworkParams, n: int,
             w **= -0.5 * params.alpha
             if inside is not None:
                 w[inside] = 0.0
-            sums[i, t0:t1] = np.bincount(trial, weights=w, minlength=t1 - t0)
+            if firsts.size:  # empty trials keep their zero
+                sums[i, t0:t1][filled] = np.add.reduceat(w, firsts)
         t0, p0 = t1, p1
+    # advance() dropped the buffered half word, which whole-array draws keep
+    end = angles.bit_generator.state
+    start = bits.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bits.state = end
     return sums[0], sums[1]
 
 

@@ -1,6 +1,6 @@
-"""The `analyze` and `optimize` `--deterministic` preset CSVs against the
-copies stored in `tests/golden/` (see its README for how to regenerate
-them)."""
+"""The `analyze`, `optimize` and `simulate` `--deterministic` preset CSVs
+against the copies stored in `tests/golden/` (see its README for how to
+regenerate them)."""
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +15,10 @@ _spec.loader.exec_module(preset_diff)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ANALYZE_PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b", "fig6")
+# The `simulate` runs of `scripts/preset_diff.py`; their files sit in their
+# own directory, apart from the analyze files of the same preset.
+SIMULATE_RUNS = [(preset, extra) for command, preset, extra
+                 in preset_diff.RUNS if command == "simulate"]
 
 # A 1e-15 relative change of the interference factor (conditional or
 # distance-averaged) moves no value of these files by more than 5e-11
@@ -65,3 +69,21 @@ def test_optimize_matches_golden_csvs(tmp_path):
     assert main(["optimize", "fig7", "--out", str(tmp_path),
                  "--deterministic"]) == 0
     _check_against_golden(tmp_path, "fig7")
+
+
+@pytest.mark.parametrize("preset, extra", SIMULATE_RUNS,
+                         ids=[preset for preset, _ in SIMULATE_RUNS])
+def test_simulate_matches_golden_csvs(tmp_path, preset, extra):
+    # Monte Carlo counts have no rounding budget: the same seed must give
+    # the same bytes
+    assert main(["simulate", preset, "--out", str(tmp_path), "--deterministic",
+                 *extra]) == 0
+    golden = GOLDEN / "simulate"
+    names = sorted(p.name for p in golden.glob(f"{preset}_*.csv"))
+    assert names
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == names
+    for name in names:
+        want, got = golden / name, tmp_path / name
+        assert got.read_bytes() == want.read_bytes(), (
+            name, preset_diff._column_moves(preset_diff._rows(want),
+                                            preset_diff._rows(got)))

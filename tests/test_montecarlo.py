@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -160,28 +161,34 @@ class TestInterfererField:
 def _whole_field_interference(rng, params, n, d_near, d_far, window_radius,
                               exclusion):
     """The interferer field with the kernel's expressions evaluated over the
-    whole field at once, one bincount over all points."""
+    whole field at once, drawn as whole arrays and summed by one reduceat
+    over all points."""
     W = min(window_radius, math.sqrt(montecarlo._MAX_MEAN_POINTS
                                      / (params.lambda_b * math.pi)))
     counts = rng.poisson(params.lambda_b * math.pi * W * W, size=n)
     total = int(counts.sum())
     trial = np.repeat(np.arange(n), counts)
     r = W * np.sqrt(rng.random(total))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=total)
-    four_r_hav = 4.0 * r * np.sin(0.5 * phi) ** 2
+    t = np.tan(rng.uniform(0.0, 2.0 * math.pi, size=total) / 4.0)
+    four_r_hav = 4.0 * r * (4.0 * (t / (1.0 + t * t)) ** 2)
+    filled = counts > 0
+    firsts = (np.cumsum(counts) - counts)[filled]
     sums = []
     for d in (d_near, d_far):
         offs = d[trial] if np.ndim(d) else d
         dist2 = (r - offs) ** 2 + offs * four_r_hav
         w = np.where((exclusion == "serving") & (dist2 < offs * offs), 0.0,
                      dist2 ** (-0.5 * params.alpha))
-        sums.append(np.bincount(trial, weights=w, minlength=n))
+        s = np.zeros(n)
+        s[filled] = np.add.reduceat(w, firsts)
+        sums.append(s)
     return sums[0], sums[1]
 
 
 class TestBlockSize:
     # The field is evaluated in blocks of whole trials; each trial's points
-    # are added in draw order, so the block size must not move a bit.
+    # are summed pairwise on their own, so the block size must not move a
+    # bit.
     @pytest.mark.parametrize("block", [1, 777])
     @pytest.mark.parametrize("exclusion", ["none", "serving"])
     @pytest.mark.parametrize("mode", ["conditional", "average-distance"])
@@ -224,11 +231,67 @@ class TestBlockSize:
             assert np.array_equal(g, w)
 
 
+class TestFieldKernel:
+    def test_half_angle_matches_sin(self):
+        # the kernel's tan form of sin^2(phi / 2) against the sin form on
+        # the same uniform(0, 2 pi) draws, with the end points of [0, 1)
+        v = np.random.default_rng(12).random(200_000)
+        v = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53], v])
+        phi = 2.0 * math.pi * v
+        want = np.sin(0.5 * phi) ** 2
+        got = montecarlo._sin2_half_angle(v.copy())
+        assert got[0] == 0.0 == want[0]
+        np.testing.assert_allclose(got[1:], want[1:], rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("lambda_b", [1e-6, 1e-4])
+    def test_leaves_the_stream_where_whole_draws_do(self, lambda_b):
+        # the radii and angles come block by block from two positions of
+        # the stream; afterwards the generator, its buffered half word
+        # included, is where poisson, random(total) and uniform(0, 2 pi,
+        # total) leave it
+        n, window = 300, 1000.0
+        params = NetworkParams(lambda_b=lambda_b)
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        for g in (rng, twin):
+            g.integers(0, 2 ** 31, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        _interference(rng, params, n, 40.0, 90.0, window, "none")
+        W = min(window, math.sqrt(montecarlo._MAX_MEAN_POINTS
+                                  / (lambda_b * math.pi)))
+        total = int(twin.poisson(lambda_b * math.pi * W * W, size=n).sum())
+        twin.random(total)
+        twin.uniform(0.0, 2.0 * math.pi, size=total)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        nexts = [(g.integers(0, 2 ** 31, size=3, dtype=np.int32).tolist(),
+                  g.random(3).tolist()) for g in (rng, twin)]
+        assert nexts[0] == nexts[1]
+
+    @pytest.mark.parametrize("exclusion", ["none", "serving"])
+    def test_memory_is_one_block(self, exclusion):
+        # one chunk at ~2,000 points per trial: the whole-chunk draw arrays
+        # alone would take 2 x 32 MB
+        params = NetworkParams(lambda_b=1e-4)
+        d_near, d_far = montecarlo._draw_distances(
+            "average-distance", PairConfig(), params,
+            np.random.default_rng(4), montecarlo._CHUNK)
+        tracemalloc.start()
+        try:
+            _interference(np.random.default_rng(3), params, montecarlo._CHUNK,
+                          d_near, d_far, 5000.0, exclusion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 # Counts of `_run` (both, far only, near only, neither, SIC ok, own ok) at
 # the Table defaults, seed 11, 2,500 trials: one full chunk and a partial
-# one.  Any change to the simulator's draws or arithmetic shows here.  The
-# serving rows at 1e-5 and 1e-4 have no failure, so they pin little; the
-# field's sums there are pinned by `test_same_bits_as_whole_field`.
+# one.  Any change to the simulator's draws shows here.  A change of the
+# arithmetic by a few ulp shows only if it moves an SINR across its
+# threshold, which is rare: the field's bits are pinned by
+# `test_same_bits_as_whole_field` and its accuracy by
+# `test_matches_cartesian_form`.  The serving rows at 1e-5 and 1e-4 have
+# no failure, so they pin little.
 PINNED_COUNTS = {
     (1e-7, "conditional", "none"): [2500, 0, 0, 0, 2500, 2500],
     (1e-7, "average-random", "none"): [1808, 272, 220, 200, 2337, 2028],
