@@ -8,9 +8,7 @@ from .design import (LinearDesign, PairLink, RateSolution, alignment_nullspace,
                      baseline_goodput, build_precoder, choose_receiver_combining,
                      maximize_goodput)
 from .geometry import (GroupingPolicy, distance_mixture, interference_coefficient,
-                       ordered_distance_pdf, policy_laplace_factor,
-                       sample_serving_distances, serving_distance_cdf,
-                       serving_distance_pdf)
+                       policy_laplace_factor, sample_serving_distances)
 from .laplace import (Inversion1DConfig, Inversion2DConfig, epsilon_accelerate,
                       invert_1d, invert_2d)
 from .model import (ChannelEstimate, NetworkParams, PairConfig, channel_k_factor,

@@ -89,6 +89,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown grouping policy {p!r}")
         if self.exclusion not in ("none", "serving"):
             raise ConfigError("mc.exclusion must be none or serving")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.trials < 1:
             raise ConfigError("mc.trials must be at least 1")
         if not self.window_radius > 0:  # also rejects NaN
@@ -472,8 +474,13 @@ def main(argv=None) -> int:
         if args.command == "validate":
             if args.trials < 1:
                 raise ConfigError("--trials must be at least 1")
-            if args.inv_a is not None and not args.inv_a > 0:
-                raise ConfigError("--inv-a must be positive")
+            if args.seed < 0:
+                raise ConfigError("--seed must be a non-negative integer")
+            if args.inv_a is not None:
+                try:  # the check a config file's inv1d.a gets
+                    Inversion1DConfig(A=args.inv_a)
+                except ValueError as exc:
+                    raise ConfigError(f"--inv-a: {exc}") from None
             return 0 if validate(args.seed, args.inv_a, args.trials) else 1
         cfg = _resolve_config(args.config)
         overrides = {name: getattr(args, name) for name in ("seed", "trials", "out")

@@ -18,8 +18,8 @@ import numpy as np
 from .asymptotic import _golden_min
 from .laplace import Inversion1DConfig, Inversion2DConfig
 from .model import NetworkParams, PairConfig
-from .outage import (EffectiveChannel, _near_exact_evaluator,
-                     far_outage_conditional, single_stream_outage_conditional)
+from .outage import (EffectiveChannel, _NearJoint, far_outage_conditional,
+                     single_stream_outage_conditional)
 # Neither is called here (`maximize_goodput` holds a grid-reusing evaluator
 # of the exact operator), but `perfbench/nomabench/tracing.py` patches every
 # outage site of this module by name.
@@ -271,7 +271,7 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
                                       params, cfg).probability
 
-    near_exact = _near_exact_evaluator(link.eff_near, pair0, params, cfg2d)
+    near_exact = _NearJoint(link.eff_near, pair0, params, cfg2d)
 
     @functools.cache
     def p_near(R_k, R_kt):

@@ -13,9 +13,6 @@ from .model import NetworkParams
 
 __all__ = [
     "GroupingPolicy",
-    "serving_distance_pdf",
-    "serving_distance_cdf",
-    "ordered_distance_pdf",
     "sample_serving_distances",
     "interference_coefficient",
     "distance_mixture",
@@ -49,28 +46,6 @@ class GroupingPolicy:
         return 2 if self.variant == "random" else 2 * K
 
 
-def serving_distance_pdf(x, params: NetworkParams):
-    """Rayleigh-type density of the nearest-BS distance, 2*c*lam*pi*x*exp(-c*lam*pi*x^2)."""
-    x = np.asarray(x, dtype=float)
-    rate = params.c * params.lambda_b * math.pi
-    return 2.0 * rate * x * np.exp(-rate * x * x)
-
-
-def serving_distance_cdf(x, params: NetworkParams):
-    x = np.asarray(x, dtype=float)
-    rate = params.c * params.lambda_b * math.pi
-    return 1.0 - np.exp(-rate * x * x)
-
-
-def ordered_distance_pdf(x, r: int, n_total: int, params: NetworkParams):
-    """Density of the r-th smallest of `n_total` i.i.d. serving distances."""
-    if not 1 <= r <= n_total:
-        raise ValueError(f"rank r={r} outside [1, {n_total}]")
-    F = serving_distance_cdf(x, params)
-    f = serving_distance_pdf(x, params)
-    return r * comb(n_total, r) * F ** (r - 1) * (1.0 - F) ** (n_total - r) * f
-
-
 def sample_serving_distances(params: NetworkParams, rng: np.random.Generator,
                              size=None) -> np.ndarray:
     """Inverse-CDF sampling of the serving-distance law."""
@@ -85,8 +60,6 @@ def interference_coefficient(u: np.ndarray, params: NetworkParams) -> float:
     Gamma(1 - 2/alpha) * ((rho_I / P) * |u^H 1|^2) ** (2/alpha); the filter
     direction enters only through its overlap with the all-ones vector.
     """
-    if params.alpha <= 2:
-        raise ValueError("alpha must exceed 2")
     u = np.asarray(u)
     overlap = abs(np.sum(np.conj(u))) ** 2
     return float(gamma(1.0 - 2.0 / params.alpha)

@@ -11,9 +11,12 @@ one stage; near-user outage has two, the SIC stage (cancel the far
 message) and the own-message stage.  Every stage sits under one
 interference factor phi: the conditional PPP Laplace functional at a fixed
 link distance, or its average over a grouping policy's distance law.
-`_outage` inverts the stages one at a time (their product is the
-stage-independence approximation for the near user); `_NearJoint`
-inverts the exact joint SIC event in 2D.
+`_user_law` gives a user's noise and factor either way.  `_outage` alone
+decides how every operator evaluates: a flag, a certain stage, the
+concentration shortcut, or inversion, either of the near user's exact
+joint SIC event in 2D (the joint that `_NearJoint` passes in) or of one
+stage at a time in 1D (whose product is the stage-independence
+approximation for the near user).
 """
 from __future__ import annotations
 
@@ -116,15 +119,15 @@ def _inv_snr_gap(rate: float) -> float:
 
 
 def _far_stage(eff: EffectiveChannel, pair: PairConfig, noise: float):
-    """(scale, tau) of the far user's decoding stage; `noise` is
-    `eff.noise(d_kt, params)`, or 0 where the distance average carries it."""
+    """(scale, tau) of the far user's decoding stage; `noise` as
+    `_user_law` gives it."""
     tau = (_inv_snr_gap(pair.R_kt) - pair.beta_k2) * pair.beta_kt2 * eff.own_gain2
     return pair.beta_k2, tau - noise
 
 
 def _near_abscissae(eff: EffectiveChannel, pair: PairConfig, noise: float):
-    """(theta_sic, theta_own) of the near user; `noise` as in `_far_stage`
-    at d_k."""
+    """(theta_sic, theta_own) of the near user; `noise` as `_user_law`
+    gives it."""
     mu2 = eff.own_gain2
     return (mu2 * pair.beta_kt2 * _inv_snr_gap(pair.R_kt) - noise,
             mu2 * pair.beta_k2 * _inv_snr_gap(pair.R_k) - noise)
@@ -195,35 +198,84 @@ def _interference_phi(omega: float, d: float, params: NetworkParams):
     return lambda s: np.exp(-coeff * s ** expo)
 
 
+# Points per distance-averaged factor pass (one row of the default 2D grid):
+# the exp-sinh rule's intermediates hold one value per node, point and
+# mixture term, about 0.7 MB per term here, where one pass over all 18,721
+# grid points raised peak memory by about 120 MB.
+_FACTOR_CHUNK = 193
+
+
+def _user_law(eff: EffectiveChannel, pair: PairConfig, params: NetworkParams,
+              far: bool, policy: GroupingPolicy | None = None,
+              interference_limited: bool = False):
+    """(noise, phi) of the near or far user of `pair`.
+
+    Without a policy, the noise at the user's link distance and the
+    conditional interference factor there.  With one, noise 0 and the
+    factor averaged over the policy's law of the user's serving distance,
+    which carries the noise too unless `interference_limited`; random
+    grouping makes the near user rank 1 of 2 and the far user rank 2 of 2.
+    The average is evaluated `_FACTOR_CHUNK` points at a time.
+    """
+    if policy is None:
+        d = pair.d_kt if far else pair.d_k
+        return eff.noise(d, params), _interference_phi(eff.omega, d, params)
+    rank = ((pair.r_k, pair.r_kt) if policy.variant == "distance"
+            else (1, 2))[far]
+    mixture = distance_mixture(rank, policy.order_total(params.K))
+    sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
+
+    def phi(s):
+        return np.concatenate([
+            policy_laplace_factor(s[i:i + _FACTOR_CHUNK], mixture, eff.omega,
+                                  sigma_u2, params)
+            for i in range(0, len(s), _FACTOR_CHUNK)])
+
+    return 0.0, phi
+
+
 def _clamp(raw: float) -> OutageResult:
     return OutageResult(min(max(raw, 0.0), 1.0), raw)
 
 
 def _outage(eff: EffectiveChannel, pair: PairConfig | None, stages, phi,
-            cfg: Inversion1DConfig | None) -> OutageResult:
-    """Outage of independent stages: 1 - prod of the stage successes.
+            cfg: Inversion1DConfig | None, joint=None) -> OutageResult:
+    """Outage of a user's decoding stages; every operator evaluates here.
 
     An infeasible rate split (`pair` is None for an exclusively scheduled
-    stream) or a nonpositive threshold makes outage certain (flagged); an
+    stream) or a nonpositive threshold makes outage certain (flagged).  An
     infinite threshold (zero rate) makes its stage succeed.  Without
     interference (`phi` is None) a stage whose threshold sits far outside
-    the form's spread band is decided without inversion.
+    the form's spread band is decided without inversion.  If stages are
+    left, the outage is 1 - `joint()`, the joint success probability of
+    all stages, when it is given and no threshold is infinite; otherwise
+    1 - the product of the stages' 1D-inverted successes.
     """
     if pair is not None and not pair.feasible:
         return OutageResult(1.0, 1.0, "infeasible_rate_split")
     if any(tau <= 0.0 for _, tau in stages):
         return OutageResult(1.0, 1.0, "nonpositive_threshold")
-    q = 1.0
+    q, undecided = 1.0, []
     for scale, tau in stages:
-        if tau == math.inf:
+        if tau == math.inf:  # a zero rate: no joint event is left
+            joint = None
             continue
-        zeta2 = _projected_mean(eff, scale)
-        q_stage = (_concentration_margin(zeta2, eff.delta, tau) if phi is None
-                   else None)
-        if q_stage is None:
-            q_stage = invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi),
-                                tau, cfg)
-        q *= q_stage
+        zeta2 = None
+        if phi is None:
+            zeta2 = _projected_mean(eff, scale)
+            certain = _concentration_margin(zeta2, eff.delta, tau)
+            if certain is not None:
+                q *= certain
+                continue
+        undecided.append((scale, tau, zeta2))
+    if q == 0.0 or not undecided:
+        return _clamp(1.0 - q)
+    if joint is not None:
+        return _clamp(1.0 - joint())
+    for scale, tau, zeta2 in undecided:
+        if zeta2 is None:
+            zeta2 = _projected_mean(eff, scale)
+        q *= invert_1d(_quadform_transform_1d(zeta2, eff.delta, phi), tau, cfg)
     return _clamp(1.0 - q)
 
 
@@ -231,9 +283,8 @@ def far_outage_conditional(eff: EffectiveChannel, pair: PairConfig,
                            params: NetworkParams,
                            cfg: Inversion1DConfig | None = None) -> OutageResult:
     """Far-user outage given the channel state and link distance."""
-    stage = _far_stage(eff, pair, eff.noise(pair.d_kt, params))
-    phi = _interference_phi(eff.omega, pair.d_kt, params)
-    return _outage(eff, pair, (stage,), phi, cfg)
+    noise, phi = _user_law(eff, pair, params, far=True)
+    return _outage(eff, pair, (_far_stage(eff, pair, noise),), phi, cfg)
 
 
 def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
@@ -241,14 +292,9 @@ def far_outage_average(eff: EffectiveChannel, pair: PairConfig,
                        cfg: Inversion1DConfig | None = None,
                        interference_limited: bool = False) -> OutageResult:
     """Far-user outage averaged over the policy's serving-distance law."""
-    rank = pair.r_kt if policy.variant == "distance" else 2
-    mixture = distance_mixture(rank, policy.order_total(params.K))
-    sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
-
-    def phi(s):
-        return policy_laplace_factor(s, mixture, eff.omega, sigma_u2, params)
-
-    return _outage(eff, pair, (_far_stage(eff, pair, 0.0),), phi, cfg)
+    noise, phi = _user_law(eff, pair, params, True, policy,
+                           interference_limited)
+    return _outage(eff, pair, (_far_stage(eff, pair, noise),), phi, cfg)
 
 
 def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
@@ -293,58 +339,41 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
 
 
 class _NearJoint:
-    """Outage of the joint (SIC, own-message) success event of one link at
-    any rates, on its power split, distance and interference factor.
+    """Near-user outage of one link as a function of (R_k, R_kt).
 
-    Calling it with (R_k, R_kt) evaluates the pair at those rates.  The
-    link's 2D transform does not depend on the rates, so the evaluator
-    builds it once and keeps its most recently used transform grids
-    (`invert_2d`'s `grids`); rates whose abscissae fall on the same
-    period-ladder rungs share a grid, and the value is bit-identical to a
-    fresh evaluation.  `phi` is the factor of s + t, or None without
-    interference.
-    `_outage` decides an infeasible split or a nonpositive abscissa, and
-    takes a zero rate, which makes one stage certain and reduces the event
-    to the other stage's 1D marginal; without interference, forms far
-    outside their spread bands decide the event without inversion.
+    `_outage` decides every rate pair; this keeps only what the rates do
+    not change: the user's (noise, phi) from `_user_law`, conditional or
+    averaged over `policy`, the link's 2D transform of the joint (SIC,
+    own-message) success event, built on first use, and its most recently
+    used transform grids (`invert_2d`'s `grids`).  Rates whose abscissae
+    fall on the same period-ladder rungs share a grid, and the value is
+    bit-identical to a fresh evaluation.  The joint inversion reaches
+    `_outage` as its `joint`; the stages' 1D marginals use the default
+    `Inversion1DConfig`.
     """
 
-    def __init__(self, eff: EffectiveChannel, pair: PairConfig, noise: float,
-                 phi, cfg: Inversion2DConfig | None):
-        self.eff, self.pair, self.noise = eff, pair, noise
-        self.phi, self.cfg = phi, cfg
+    def __init__(self, eff: EffectiveChannel, pair: PairConfig,
+                 params: NetworkParams, cfg: Inversion2DConfig | None = None,
+                 policy: GroupingPolicy | None = None,
+                 interference_limited: bool = False):
+        self.eff, self.pair, self.cfg = eff, pair, cfg
+        self.noise, self.phi = _user_law(eff, pair, params, False, policy,
+                                         interference_limited)
         self.transform = None
         self.grids: dict = {}
 
     def __call__(self, R_k: float, R_kt: float) -> OutageResult:
         eff, pair = self.eff, self.pair.with_rates(R_k, R_kt)
         theta_sic, theta_own = _near_abscissae(eff, pair, self.noise)
+
+        def joint():
+            if self.transform is None:
+                self.transform = _near_joint_transform(eff, pair)
+            return invert_2d(self.transform, theta_sic, theta_own, self.cfg,
+                             grids=self.grids, phi=self.phi)
+
         stages = _near_stages(eff, pair, theta_sic, theta_own)
-        if (not pair.feasible or theta_sic <= 0.0 or theta_own <= 0.0
-                or math.inf in (theta_sic, theta_own)):
-            return _outage(eff, pair, stages, self.phi, None)
-        if self.phi is None:
-            certain = [_concentration_margin(_projected_mean(eff, scale),
-                                             eff.delta, tau)
-                       for scale, tau in stages]
-            if 0.0 in certain:
-                return OutageResult(1.0, 1.0)
-            if certain == [1.0, 1.0]:
-                return OutageResult(0.0, 0.0)
-        if self.transform is None:
-            self.transform = _near_joint_transform(eff, pair)
-        q = invert_2d(self.transform, theta_sic, theta_own, self.cfg,
-                      grids=self.grids, phi=self.phi)
-        return _clamp(1.0 - q)
-
-
-def _near_exact_evaluator(eff: EffectiveChannel, pair: PairConfig,
-                          params: NetworkParams,
-                          cfg: Inversion2DConfig | None = None) -> _NearJoint:
-    """`near_outage_conditional_exact` of one link as a function of
-    (R_k, R_kt) that reuses transform grids across calls."""
-    return _NearJoint(eff, pair, eff.noise(pair.d_k, params),
-                      _interference_phi(eff.omega, pair.d_k, params), cfg)
+        return _outage(eff, pair, stages, self.phi, None, joint)
 
 
 def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
@@ -352,7 +381,7 @@ def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
                                   cfg: Inversion2DConfig | None = None
                                   ) -> OutageResult:
     """Near-user outage of the joint (SIC, own-message) success event."""
-    return _near_exact_evaluator(eff, pair, params, cfg)(pair.R_k, pair.R_kt)
+    return _NearJoint(eff, pair, params, cfg)(pair.R_k, pair.R_kt)
 
 
 def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
@@ -364,9 +393,8 @@ def near_outage_conditional_approx(eff: EffectiveChannel, pair: PairConfig,
     Upper-bounds the exact probability; each stage is a 1D inversion with
     the appropriately substituted mean vector and threshold.
     """
-    stages = _near_stages(eff, pair, *_near_abscissae(
-        eff, pair, eff.noise(pair.d_k, params)))
-    phi = _interference_phi(eff.omega, pair.d_k, params)
+    noise, phi = _user_law(eff, pair, params, far=False)
+    stages = _near_stages(eff, pair, *_near_abscissae(eff, pair, noise))
     return _outage(eff, pair, stages, phi, cfg)
 
 
@@ -385,13 +413,6 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
     return _outage(eff, None, ((0.0, theta),), phi, cfg)
 
 
-# Points per distance-averaged factor pass (one row of the default 2D grid):
-# the exp-sinh rule's intermediates hold one value per node, point and
-# mixture term, about 0.7 MB per term here, where one pass over all 18,721
-# grid points raised peak memory by about 120 MB.
-_FACTOR_CHUNK = 193
-
-
 def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
                         params: NetworkParams, policy: GroupingPolicy,
                         cfg: Inversion2DConfig | None = None,
@@ -399,18 +420,8 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
     """Near-user outage averaged over the policy's serving-distance law.
 
     The same joint evaluation as `near_outage_conditional_exact`, with the
-    distance-averaged factor of s + t in place of the conditional one.
-    `invert_2d` asks for it once per distinct s + t, and it is evaluated
-    `_FACTOR_CHUNK` points at a time.
+    distance-averaged factor of s + t in place of the conditional one;
+    `invert_2d` asks for it once per distinct s + t.
     """
-    rank = pair.r_k if policy.variant == "distance" else 1
-    mixture = distance_mixture(rank, policy.order_total(params.K))
-    sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
-
-    def phi(u):
-        return np.concatenate([
-            policy_laplace_factor(u[i:i + _FACTOR_CHUNK], mixture, eff.omega,
-                                  sigma_u2, params)
-            for i in range(0, len(u), _FACTOR_CHUNK)])
-
-    return _NearJoint(eff, pair, 0.0, phi, cfg)(pair.R_k, pair.R_kt)
+    return _NearJoint(eff, pair, params, cfg, policy,
+                      interference_limited)(pair.R_k, pair.R_kt)

@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 import nomacell as nc
+from distance_laws import ordered_distance_pdf, serving_distance_cdf
 from nomacell import (GroupingPolicy, NetworkParams, PairConfig,
                       build_scenario)
 
@@ -282,7 +283,7 @@ def test_criterion_9_correlation_effect():
 def test_criterion_10_distribution_oracles(table_params):
     rng = np.random.default_rng(123)
     d = nc.sample_serving_distances(table_params, rng, size=10_000)
-    stat = kstest(d, lambda x: nc.serving_distance_cdf(x, table_params)).statistic
+    stat = kstest(d, lambda x: serving_distance_cdf(x, table_params)).statistic
     assert stat < KS_1PC / math.sqrt(len(d))
 
     draws = np.sort(nc.sample_serving_distances(table_params, rng,
@@ -290,8 +291,7 @@ def test_criterion_10_distribution_oracles(table_params):
     from scipy.integrate import quad
     second = draws[:, 1]
     grid = np.quantile(second, np.linspace(0.02, 0.98, 49))
-    cdf = np.array([quad(lambda y: nc.ordered_distance_pdf(y, 2, 4,
-                                                           table_params),
+    cdf = np.array([quad(lambda y: ordered_distance_pdf(y, 2, 4, table_params),
                          0, x)[0] for x in grid])
     emp = np.searchsorted(np.sort(second), grid, side="right") / len(second)
     assert np.max(np.abs(emp - cdf)) < KS_1PC / math.sqrt(len(second))

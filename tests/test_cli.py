@@ -230,6 +230,8 @@ BAD_CONFIGS = [
     pytest.param("channel.h_norm2 = inf\n", "h_norm2", id="h_norm2-inf"),
     pytest.param("inv1d.a = nan\n", "A=nan", id="inv1d-a-nan"),
     pytest.param("inv1d.a = inf\n", "A=inf", id="inv1d-a-inf"),
+    pytest.param("seed = -1\n", "seed must be a non-negative",
+                 id="seed-negative"),
 ]
 
 
@@ -258,6 +260,8 @@ class TestMain:
         (["--trials", "0"], "--trials"),
         (["--inv-a", "0"], "--inv-a"),
         (["--inv-a", "-3"], "--inv-a"),
+        (["--inv-a", "inf"], "--inv-a"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_validate_bad_option_exits_2_before_any_check(self, capsys, args,
                                                           named):

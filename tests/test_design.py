@@ -275,7 +275,7 @@ class TestBisectRateCap:
 def _record_near_evaluations(monkeypatch):
     """Dict that collects every exact near-user result the optimizer
     evaluates, keyed by (R_k, R_kt)."""
-    used, factory = {}, design._near_exact_evaluator
+    used, factory = {}, design._NearJoint
 
     def recording(*args):
         evaluate = factory(*args)
@@ -286,7 +286,7 @@ def _record_near_evaluations(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(design, "_near_exact_evaluator", recording)
+    monkeypatch.setattr(design, "_NearJoint", recording)
     return used
 
 
@@ -451,7 +451,7 @@ def test_reused_grids_match_fresh_evaluations(monkeypatch, scheme):
         return grid
 
     monkeypatch.setattr(outage, "_near_joint_transform", counting)
-    evaluate = outage._near_exact_evaluator(link.eff_near, link.pair, params)
+    evaluate = outage._NearJoint(link.eff_near, link.pair, params)
     alive = 0
     for (R_k, R_kt), res in reversed(used.items()):
         assert fields(evaluate(R_k, R_kt)) == fields(res), (R_k, R_kt)

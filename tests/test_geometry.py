@@ -7,10 +7,11 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 from scipy.stats import kstest
 
+from distance_laws import (ordered_distance_pdf, serving_distance_cdf,
+                           serving_distance_pdf)
 from nomacell import (GroupingPolicy, NetworkParams, distance_mixture,
-                      interference_coefficient, ordered_distance_pdf,
-                      policy_laplace_factor, sample_serving_distances,
-                      serving_distance_cdf, serving_distance_pdf)
+                      interference_coefficient, policy_laplace_factor,
+                      sample_serving_distances)
 from nomacell.geometry import _STEP, _exp_sinh_nodes, _mixture_integral
 from nomacell.montecarlo import _MAX_MEAN_POINTS, _interference
 

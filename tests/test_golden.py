@@ -27,8 +27,9 @@ SIMULATE_RUNS = [(preset, extra) for command, preset, extra
 # platform rounding through and stops any real change of a kernel.
 TOL = 1e-9
 # fig6_exact p_near at R_kt = 1.74 moves by up to 2e-6 (goodput 7e-6) under
-# the same change, and the file holds the known-wrong fig6 values of
-# ROADMAP item 3; it is held to the 1e-4 inversion budget instead.
+# the same change, and the file holds the known-wrong fig6 values listed in
+# golden/README.md (ROADMAP item 12 mends them); it is held to the 1e-4
+# inversion budget instead.
 #
 # `optimize fig7`: the same change moves the OMA files by at most 1.8e-10
 # (goodput), the proposed design's by at most 2.4e-10 and the noma-plain

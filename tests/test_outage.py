@@ -5,6 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from distance_laws import ordered_distance_pdf
 from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
                       Inversion2DConfig, NetworkParams, PairConfig, build_scenario,
                       effective_channel, exponential_covariance,
@@ -321,7 +322,6 @@ class TestAverageOutage:
         # independent oracle: integrate the conditional outage against the
         # policy's distance density
         from scipy.integrate import quad
-        from nomacell import build_scenario, ordered_distance_pdf
         policy = GroupingPolicy("random")
         sc = build_scenario(table_params, table_pair, seed=20240717,
                             policy=policy)
@@ -355,7 +355,6 @@ class TestAverageOutage:
         # conditional joint outage against the near user's distance density
         # (from 0, where that density is still positive)
         from scipy.integrate import quad
-        from nomacell import ordered_distance_pdf
         policy = GroupingPolicy(variant)
         link = self._fig3_link(table_params, table_pair, policy)
         p = link.pair
@@ -469,6 +468,11 @@ _SHORTCUTS = [
      20.0, None, lambda p: p.with_rates(R_kt=3.0), _INFEASIBLE),
     ("concentrated", ("far_cond", "near_exact", "near_approx", "single"), 0.0,
      80.0, None, None, (0.0, 0.0, None)),
+    # theta_sic > 0, but below the near message's own-stream power: the SIC
+    # stage cannot succeed, so the exact operator must not invert in 2D
+    ("impossible_sic", ("near_exact", "near_approx"), 1e-5, 20.0, None,
+     lambda p: replace(p, d_k=400.0).with_rates(R_k=0.1, R_kt=2.1152657),
+     _NONPOSITIVE),
 ]
 
 
