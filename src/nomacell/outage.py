@@ -306,7 +306,10 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
     only through a handful of projections onto the error eigenbasis, which
     are precomputed.  The form then loops over the K eigencomponents, each
     term evaluated on a whole (s, t) grid at once, accumulating the
-    exponent and the product s t prod_i (1 + (s + t) delta_i).
+    exponent and the product s t prod_i (1 + (s + t) delta_i).  The loop
+    runs in three grid buffers with in-place ufuncs, in the operation and
+    operand order of the plain broadcasting expression, so it gives that
+    expression's bits.
     """
     mu, delta, Psi = eff.mu, eff.delta, eff.Psi
     b2, bt2 = pair.beta_k2, pair.beta_kt2
@@ -326,14 +329,23 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
         u = s + t
         s_b2 = s * b2
         s_bt2_t = s * bt2 + t
-        quad, den = 0.0, s * t
+        quad, den = np.zeros_like(u), s * t
+        denom, left, right = (np.empty_like(u) for _ in range(3))
         for i in range(eff.K):
-            denom = 1.0 + u * delta[i]
-            left = u * p_proj[i] + s_b2 * r_proj[i]
-            right = delta[i] * s_bt2_t * q_proj[i] + w_proj[i]
-            quad = quad + left * right / denom
-            den = den * denom
-        return np.exp(-quad) / den
+            np.add(1.0, np.multiply(u, delta[i], out=denom), out=denom)
+            np.multiply(u, p_proj[i], out=left)
+            left += s_b2 * r_proj[i]
+            np.multiply(delta[i], s_bt2_t, out=right)
+            right *= q_proj[i]
+            right += w_proj[i]
+            left *= right
+            left /= denom
+            quad += left
+            den *= denom
+        np.negative(quad, out=quad)
+        np.exp(quad, out=quad)
+        quad /= den
+        return quad
 
     return F
 

@@ -1,14 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import comb, erfc
 
 from nomacell import (Inversion1DConfig, Inversion2DConfig, NetworkParams,
-                      PairConfig, build_scenario,
+                      PairConfig, baseline_goodput, build_scenario,
                       epsilon_accelerate, invert_1d, invert_2d,
-                      near_outage_conditional_exact)
+                      maximize_goodput, near_outage_conditional_exact)
 from nomacell import laplace, outage
 
 
@@ -100,6 +100,13 @@ class TestInvert1D:
         with pytest.raises(ValueError):
             invert_1d(lambda s: 1 / s, 0.0)
 
+    def test_euler_weights_are_shared_and_read_only(self):
+        weights = laplace._euler_weights(11)
+        assert weights is laplace._euler_weights(11)
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        assert _same_bits(weights, comb(11, np.arange(12)) / 2.0 ** 11)
+
     def test_flags_nonfinite_transform(self):
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(FloatingPointError):
@@ -169,6 +176,25 @@ class TestInvert2D:
         rowwise = near_all()
         for got, want in zip(batched, rowwise):
             assert _same_bits(got.raw, want.raw)
+
+    @pytest.mark.parametrize("scheme", ["aligned", "plain"])
+    def test_goodput_designs_match_row_by_row_reference(self, scheme,
+                                                        monkeypatch):
+        # the fig7 links at 20 dB: every inversion the optimizer makes,
+        # whichever way it is reached, keeps its bits
+        params = NetworkParams()
+        link = build_scenario(params, PairConfig(), kappa=0.9,
+                              k_factor_db=20.0, seed=20240717,
+                              scheme=scheme).link(1)
+
+        def designs():
+            return [tuple(float(x).hex() for x in astuple(sol))
+                    for sol in (maximize_goodput(link, 1e-2, params),
+                                baseline_goodput("noma", link, 1e-2, params))]
+
+        batched = designs()
+        monkeypatch.setattr(laplace, "epsilon_accelerate", _epsilon_reference)
+        assert designs() == batched
 
     def test_rejects_nonpositive_abscissae(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -493,17 +494,22 @@ def test_shared_shortcuts(monkeypatch, case, op, lambda_b, kdb, edit_link,
     assert (res.probability, res.raw, res.flag) == want
 
 
+def _joint_projections(eff, pair):
+    """The projections onto the error eigenbasis that the near-joint
+    transform precomputes, with its eigenvalues and power splits."""
+    mu, Psi = eff.mu, eff.Psi
+    k = eff.stream
+    mask = np.arange(eff.K) != k
+    return (eff.delta, pair.beta_k2, pair.beta_kt2,
+            mu[mask].conj() @ Psi[mask, :], mu[k].conjugate() * Psi[k, :],
+            Psi[k, :].conj() * mu[k], Psi.conj().T @ mu)
+
+
 def _broadcast_joint_transform(eff, pair):
     """The near-joint transform's form as one broadcast over a trailing
     length-K eigen axis; the per-component loop must match it to rounding."""
-    mu, delta, Psi = eff.mu, eff.delta, eff.Psi
-    b2, bt2 = pair.beta_k2, pair.beta_kt2
-    k = eff.stream
-    mask = np.arange(eff.K) != k
-    p_proj = mu[mask].conj() @ Psi[mask, :]
-    r_proj = mu[k].conjugate() * Psi[k, :]
-    q_proj = Psi[k, :].conj() * mu[k]
-    w_proj = Psi.conj().T @ mu
+    delta, b2, bt2, p_proj, r_proj, q_proj, w_proj = _joint_projections(eff,
+                                                                        pair)
 
     def F(s, t):
         u = s + t
@@ -517,36 +523,86 @@ def _broadcast_joint_transform(eff, pair):
     return F
 
 
-@pytest.mark.parametrize("K, M, N, lambda_b, average", [
-    (2, 3, 2, 1e-5, False), (2, 3, 2, 1e-7, False), (2, 3, 2, 0.0, False),
-    (3, 4, 3, 1e-5, False), (3, 4, 3, 0.0, False), (2, 3, 2, 1e-5, True)])
+def _joint_transform_reference(eff, pair):
+    """The near-joint transform's loop as plain broadcasting expressions,
+    one new grid per operation; the in-place loop must give its bits."""
+    delta, b2, bt2, p_proj, r_proj, q_proj, w_proj = _joint_projections(eff,
+                                                                        pair)
+
+    def F(s, t):
+        u = s + t
+        s_b2 = s * b2
+        s_bt2_t = s * bt2 + t
+        quad, den = 0.0, s * t
+        for i in range(eff.K):
+            denom = 1.0 + u * delta[i]
+            left = u * p_proj[i] + s_b2 * r_proj[i]
+            right = delta[i] * s_bt2_t * q_proj[i] + w_proj[i]
+            quad = quad + left * right / denom
+            den = den * denom
+        return np.exp(-quad) / den
+
+    return F
+
+
+@pytest.mark.parametrize("K, M, N, lambda_b, average, kdb, rates", [
+    (2, 3, 2, 1e-5, False, 20.0, (0.25, 0.75)),
+    (2, 3, 2, 1e-7, False, 20.0, (0.25, 0.75)),
+    (2, 3, 2, 0.0, False, 20.0, (0.25, 0.75)),
+    (3, 4, 3, 1e-5, False, 20.0, (0.25, 0.75)),
+    (3, 4, 3, 0.0, False, 20.0, (0.25, 0.75)),
+    (2, 3, 2, 1e-5, True, 20.0, (0.25, 0.75)),
+    # the interference-free fig6 point, which passes the 40-spread
+    # shortcut on to the inversion
+    (2, 3, 2, 0.0, False, 50.0, (1.74,))])
 def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
-                                                average):
+                                                average, kdb, rates):
     # on the grids invert_2d builds, for every pair (so the own stream is
-    # not always the first) and on the average's periods
+    # not always the first) and on the average's periods: the in-place loop
+    # gives the bits of the plain loop and the broadcast form to rounding
     params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
     sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
-                        policy=_RANDOM)
+                        k_factor_db=kdb, policy=_RANDOM)
     joint, grids = outage._near_joint_transform, []
 
     def recording(eff, pair):
-        F, ref = joint(eff, pair), _broadcast_joint_transform(eff, pair)
+        F = joint(eff, pair)
+        loop, ref = (_joint_transform_reference(eff, pair),
+                     _broadcast_joint_transform(eff, pair))
 
         def both(s, t):
             got = F(s, t)
-            grids.append((got, ref(s, t)))
+            grids.append((got, loop(s, t), ref(s, t)))
             return got
 
         return both
 
     monkeypatch.setattr(outage, "_near_joint_transform", recording)
     for link in sc.links[:1] if average else sc.links:
-        for r in (0.25, 0.75):
+        for r in rates:
             pair = link.pair.with_rates(R_k=2 * r, R_kt=r)
             if average:
                 near_outage_average(link.eff_near, pair, params, _RANDOM)
             else:
                 near_outage_conditional_exact(link.eff_near, pair, params)
-    assert grids and all(got.shape == (97, 193) for got, _ in grids)
-    for got, want in grids:
+    assert grids and all(got.shape == (97, 193) for got, _, _ in grids)
+    for got, loop, want in grids:
+        assert got.tobytes() == loop.tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_fresh_near_exact_evaluation_peaks_below_eight_grids():
+    # one warm evaluation on a fresh grid at the fig7 link: the transform
+    # works in three loop buffers, so the peak stays below eight grid-sized
+    # complex arrays (97 x 193 x 16 B each at the default orders)
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717).link(1)
+    near_outage_conditional_exact(link.eff_near, link.pair, params)
+    tracemalloc.start()
+    try:
+        near_outage_conditional_exact(link.eff_near, link.pair, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 97 * 193 * 16
