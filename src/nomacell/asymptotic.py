@@ -47,22 +47,40 @@ def _normalized_eigs(eff: EffectiveChannel) -> np.ndarray:
     return eff.delta / eff.sigma_h2
 
 
-def _chernoff(eff: EffectiveChannel, stages, s: float) -> float:
-    """Sum over the stages of the Chernoff bound on each stage's failure.
+def _chernoff(eff: EffectiveChannel, stages):
+    """The sum over the stages of the Chernoff bound on each stage's
+    failure, as a function of the normalized exponent parameter s, and the
+    supremum of its admissible interval (0, 1 / max_i upsilon_i).
 
-    `s` is the normalized exponent parameter, admissible on
-    (0, 1 / max_i upsilon_i).
+    The eigenvalues and each stage's projected mean do not depend on s and
+    are computed here, once.
     """
     ups = _normalized_eigs(eff)
     s_sup = 1.0 / ups.max() if ups.max() > 0 else math.inf
-    if not 0.0 < s < s_sup:
-        raise ValueError(f"Chernoff parameter must lie in (0, {s_sup:.6g})")
-    log_pref = -np.sum(np.log1p(-s * ups))
-    total = 0.0
-    for scale, tau in stages:
-        margin = tau + np.sum(_projected_mean(eff, scale) / (s * ups - 1.0))
-        total += np.exp(min(log_pref - s / eff.sigma_h2 * margin, 700.0))
-    return float(total)
+    terms = [(tau, _projected_mean(eff, scale)) for scale, tau in stages]
+
+    def bound(s: float) -> float:
+        if not 0.0 < s < s_sup:
+            raise ValueError(f"Chernoff parameter must lie in (0, {s_sup:.6g})")
+        log_pref = -np.sum(np.log1p(-s * ups))
+        total = 0.0
+        for tau, zeta2 in terms:
+            margin = tau + np.sum(zeta2 / (s * ups - 1.0))
+            total += np.exp(min(log_pref - s / eff.sigma_h2 * margin, 700.0))
+        return float(total)
+
+    return bound, s_sup
+
+
+def _far_bound_stages(eff: EffectiveChannel, pair: PairConfig,
+                      params: NetworkParams):
+    return (_far_stage(eff, pair, eff.noise(pair.d_kt, params)),)
+
+
+def _near_bound_stages(eff: EffectiveChannel, pair: PairConfig,
+                       params: NetworkParams):
+    thetas = _near_abscissae(eff, pair, eff.noise(pair.d_k, params))
+    return _near_stages(eff, pair, *thetas)
 
 
 def chernoff_far_bound(eff: EffectiveChannel, pair: PairConfig,
@@ -72,15 +90,15 @@ def chernoff_far_bound(eff: EffectiveChannel, pair: PairConfig,
     `s_bar` is the normalized exponent parameter, admissible on
     (0, 1 / max_i upsilon_i).
     """
-    stage = _far_stage(eff, pair, eff.noise(pair.d_kt, params))
-    return _chernoff(eff, (stage,), s_bar)
+    bound, _ = _chernoff(eff, _far_bound_stages(eff, pair, params))
+    return bound(s_bar)
 
 
 def chernoff_near_bound(eff: EffectiveChannel, pair: PairConfig,
                         params: NetworkParams, s_hat: float) -> float:
     """Chernoff + union upper bound on the near-user conditional outage."""
-    thetas = _near_abscissae(eff, pair, eff.noise(pair.d_k, params))
-    return _chernoff(eff, _near_stages(eff, pair, *thetas), s_hat)
+    bound, _ = _chernoff(eff, _near_bound_stages(eff, pair, params))
+    return bound(s_hat)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
@@ -103,33 +121,30 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _optimize(bound, eff: EffectiveChannel, pair: PairConfig,
-              params: NetworkParams) -> tuple[float, float]:
-    """Minimize a Chernoff bound over its free parameter.
+def _optimize(eff: EffectiveChannel, stages) -> tuple[float, float]:
+    """Minimize the stages' Chernoff bound over its free parameter.
 
     Returns (bound, s).  The admissible interval is searched with a 1e-6
     relative boundary margin.
     """
-    ups = _normalized_eigs(eff)
-    if ups.max() <= 0:
+    bound, s_sup = _chernoff(eff, stages)
+    if s_sup == math.inf:
         raise ValueError("degenerate error covariance: no free parameter range")
-    s_sup = 1.0 / ups.max()
     lo, hi = 1e-6 * s_sup, (1.0 - 1e-6) * s_sup
-    s_best, val = _golden_min(
-        lambda s: bound(eff, pair, params, s), lo, hi)
+    s_best, val = _golden_min(bound, lo, hi)
     return val, s_best
 
 
 def optimize_chernoff_far(eff: EffectiveChannel, pair: PairConfig,
                           params: NetworkParams) -> tuple[float, float]:
     """Minimize the far-user Chernoff bound; returns (bound, s_bar)."""
-    return _optimize(chernoff_far_bound, eff, pair, params)
+    return _optimize(eff, _far_bound_stages(eff, pair, params))
 
 
 def optimize_chernoff_near(eff: EffectiveChannel, pair: PairConfig,
                            params: NetworkParams) -> tuple[float, float]:
     """Minimize the near-user Chernoff bound; returns (bound, s_hat)."""
-    return _optimize(chernoff_near_bound, eff, pair, params)
+    return _optimize(eff, _near_bound_stages(eff, pair, params))
 
 
 def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,

@@ -4,6 +4,7 @@ All powers are linear (watts); dB conversions belong to the config layer.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +72,16 @@ def exponential_covariance(dim: int, kappa: float) -> np.ndarray:
     return (kappa ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_sqrt(data: bytes, dim: int) -> np.ndarray:
+    """Read-only `_hermitian_sqrt` of the dim x dim complex matrix with
+    these bytes, computed once per distinct matrix: every estimate of a
+    scenario has the same R_t and R_r."""
+    root = _hermitian_sqrt(np.frombuffer(data, dtype=complex).reshape(dim, dim))
+    root.flags.writeable = False
+    return root
+
+
 def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition with clamping at 0.
 
@@ -109,8 +120,8 @@ class ChannelEstimate:
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_R_t_sqrt", _hermitian_sqrt(self.R_t))
-        object.__setattr__(self, "_R_r_sqrt", _hermitian_sqrt(self.R_r))
+        for name, R in (("_R_t_sqrt", self.R_t), ("_R_r_sqrt", self.R_r)):
+            object.__setattr__(self, name, _shared_sqrt(R.tobytes(), len(R)))
 
     @property
     def shape(self):

@@ -8,6 +8,7 @@ from nomacell import (NetworkParams, PairConfig, build_scenario,
                       far_outage_conditional, near_outage_conditional_exact,
                       optimize_chernoff_far, optimize_chernoff_near,
                       rate_thresholds)
+from nomacell import asymptotic
 
 FREE = NetworkParams(lambda_b=0.0)
 
@@ -73,6 +74,28 @@ class TestChernoffBounds:
         opt, _ = optimize_chernoff_far(free_link.eff_far, pair, FREE)
         assert opt <= dense + 1e-8
         assert abs(opt - dense) <= 1e-8 + 1e-6 * dense
+
+    @pytest.mark.parametrize("k_db", [10.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("seed", [1, 2, 20240717])
+    def test_optimizers_match_a_search_over_the_public_bounds(self, seed,
+                                                              k_db):
+        # the optimizers compute the eigenvalues and projected means once
+        # per search; a golden search that calls the public bound at every
+        # step finds the same (bound, s), bit for bit
+        link = build_scenario(FREE, PairConfig(), k_factor_db=k_db,
+                              seed=seed).link(1)
+        for r in (0.5, 1.0, 1.5):
+            pair = link.pair.with_rates(R_k=2 * r, R_kt=r)
+            for optimize, bound, eff in (
+                    (optimize_chernoff_far, chernoff_far_bound, link.eff_far),
+                    (optimize_chernoff_near, chernoff_near_bound,
+                     link.eff_near)):
+                s_sup = 1.0 / (eff.delta / eff.sigma_h2).max()
+                s, val = asymptotic._golden_min(
+                    lambda x: bound(eff, pair, FREE, x), 1e-6 * s_sup,
+                    (1.0 - 1e-6) * s_sup)
+                got = optimize(eff, pair, FREE)
+                assert (got[0].hex(), got[1].hex()) == (val.hex(), s.hex())
 
 
 class TestRateThresholds:

@@ -448,6 +448,11 @@ def test_reused_grids_match_fresh_evaluations(monkeypatch, scheme):
             built.append(s.shape)
             return F(s, t)
 
+        def on_lattice(s, t, *per_key):
+            built.append(s.shape)
+            return F.on_lattice(s, t, *per_key)
+
+        grid.on_lattice = on_lattice
         return grid
 
     monkeypatch.setattr(outage, "_near_joint_transform", counting)

@@ -281,6 +281,45 @@ class TestFactorLattice:
         want = _coupled_form(s, t) * _factor(s + t)
         np.testing.assert_allclose(grid, want, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("theta1, theta2", [p[:2] for p in POINTS])
+    def test_lattice_product_runs_in_the_written_order(self, theta1, theta2):
+        # a grid over 256 KiB (L + 2 p_eps >= 90), where numpy may write a
+        # product into a temporary operand: the factor's view is none, so
+        # the product keeps the bits of transform * gathered factor
+        cfg = Inversion2DConfig()
+        assert 97 * 193 * 16 > 256 * 1024
+        T1, T2, c1, c2 = periods = cfg.resolve(theta1, theta2, lattice=True)
+        grid = laplace._transform_grid(_coupled_form, _factor, periods, cfg)
+        s, t = _node_grid(periods, cfg)
+        l1 = np.arange(0, 97)[:, None]
+        l2 = np.arange(-96, 97)[None, :]
+        ratio = round(math.log2(T1 / T2))
+        if ratio >= 0:
+            key, T = l1 + 2 ** ratio * l2, T1
+        else:
+            key, T = 2 ** -ratio * l1 + l2, T2
+        lo, hi = key.min(), key.max()
+        if hi - lo < key.size:
+            keys = np.arange(lo, hi + 1)
+            gathered = _factor((c1 + c2) + 1j * math.pi * keys / T)[key - lo]
+        else:
+            keys = key.ravel()
+            gathered = _factor((c1 + c2) + 1j * math.pi * keys / T
+                               ).reshape(key.shape)
+        form = _coupled_form(s, t)
+        want = form * gathered
+        assert grid.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("factor", [lambda u: 0.5,
+                                        lambda u: _factor(u)[:-1]])
+    def test_factor_of_the_wrong_shape_is_rejected(self, factor):
+        # the grid reads the factor through a strided view, which must not
+        # reach past the per-key values
+        cfg = Inversion2DConfig()
+        periods = cfg.resolve(8.0, 1.0, lattice=True)
+        with pytest.raises(ValueError, match="lattice keys"):
+            laplace._transform_grid(_coupled_form, factor, periods, cfg)
+
     def test_constant_factor_keeps_the_plain_ladder(self):
         # an odd rung difference, which the lattice rule would raise: a
         # transform without factor keeps the plain periods

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nomacell import (ChannelEstimate, NetworkParams, PairConfig,
-                      channel_k_factor, error_variance_for_k_factor,
-                      exponential_covariance, sample_channel_matrix,
-                      sample_error_matrix)
+                      build_scenario, channel_k_factor,
+                      error_variance_for_k_factor, exponential_covariance,
+                      sample_channel_matrix, sample_error_matrix)
+from nomacell.model import _hermitian_sqrt
 
 
 class TestExponentialCovariance:
@@ -85,6 +86,21 @@ class TestErrorSampler:
         with pytest.raises(ValueError, match="PSD"):
             ChannelEstimate(np.ones((2, 2), complex), R_bad,
                             np.eye(2, dtype=complex), 0.1)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 0.9])
+def test_estimates_of_a_scenario_share_their_square_roots(kappa):
+    # one eigendecomposition per distinct covariance, with the bits of the
+    # root computed per estimate
+    params = NetworkParams(K=3, M=4, N=3)
+    sc = build_scenario(params, PairConfig(), kappa=kappa, seed=3)
+    ests = sc.ests_near + sc.ests_far
+    for est in ests:
+        assert est._R_t_sqrt is ests[0]._R_t_sqrt
+        assert est._R_r_sqrt is ests[0]._R_r_sqrt
+        assert est._R_t_sqrt.tobytes() == _hermitian_sqrt(est.R_t).tobytes()
+        assert est._R_r_sqrt.tobytes() == _hermitian_sqrt(est.R_r).tobytes()
+        assert not est._R_t_sqrt.flags.writeable
 
 
 class TestKFactor:

@@ -14,7 +14,7 @@ from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
                       far_outage_conditional, invert_1d, near_outage_average,
                       near_outage_conditional_approx, near_outage_conditional_exact,
                       sample_channel_matrix, single_stream_outage_conditional)
-from nomacell import outage
+from nomacell import laplace, outage
 from nomacell.outage import (_far_stage, _near_abscissae, _projected_mean,
                              _quadform_transform_1d)
 
@@ -552,14 +552,18 @@ def _joint_transform_reference(eff, pair):
     (3, 4, 3, 1e-5, False, 20.0, (0.25, 0.75)),
     (3, 4, 3, 0.0, False, 20.0, (0.25, 0.75)),
     (2, 3, 2, 1e-5, True, 20.0, (0.25, 0.75)),
+    (2, 3, 2, 1e-5, False, 40.0, (0.25, 1.5)),
     # the interference-free fig6 point, which passes the 40-spread
     # shortcut on to the inversion
     (2, 3, 2, 0.0, False, 50.0, (1.74,))])
 def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
                                                 average, kdb, rates):
     # on the grids invert_2d builds, for every pair (so the own stream is
-    # not always the first) and on the average's periods: the in-place loop
-    # gives the bits of the plain loop and the broadcast form to rounding
+    # not always the first) and on the average's periods.  Without
+    # interference the per-node loop runs and gives the bits of the plain
+    # loop; with it the lattice form runs, and matches the plain loop
+    # times the per-key factor to rounding.  Both match the broadcast form
+    # to rounding.
     params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
     sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
                         k_factor_db=kdb, policy=_RANDOM)
@@ -570,12 +574,19 @@ def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
         loop, ref = (_joint_transform_reference(eff, pair),
                      _broadcast_joint_transform(eff, pair))
 
-        def both(s, t):
+        def per_node(s, t):
             got = F(s, t)
-            grids.append((got, loop(s, t), ref(s, t)))
+            grids.append(("per_node", got, loop(s, t), ref(s, t)))
             return got
 
-        return both
+        def on_lattice(s, t, u, factor, view):
+            got = F.on_lattice(s, t, u, factor, view)
+            grids.append(("lattice", got, loop(s, t) * view(factor),
+                          ref(s, t) * view(factor)))
+            return got
+
+        per_node.on_lattice = on_lattice
+        return per_node
 
     monkeypatch.setattr(outage, "_near_joint_transform", recording)
     for link in sc.links[:1] if average else sc.links:
@@ -585,16 +596,52 @@ def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
                 near_outage_average(link.eff_near, pair, params, _RANDOM)
             else:
                 near_outage_conditional_exact(link.eff_near, pair, params)
-    assert grids and all(got.shape == (97, 193) for got, _, _ in grids)
-    for got, loop, want in grids:
-        assert got.tobytes() == loop.tobytes()
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert grids and all(got.shape == (97, 193) for _, got, _, _ in grids)
+    paths = {path for path, _, _, _ in grids}
+    assert paths == {"per_node" if lambda_b == 0.0 else "lattice"}
+    for path, got, loop, want in grids:
+        if path == "per_node":
+            assert got.tobytes() == loop.tobytes()
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        else:
+            np.testing.assert_allclose(got, loop, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def test_fresh_near_exact_evaluation_peaks_below_eight_grids():
+@pytest.mark.parametrize("K, M, N", [(2, 3, 2), (3, 4, 3)])
+@pytest.mark.parametrize("kdb", [0.0, 20.0, 40.0])
+@pytest.mark.parametrize("lambda_b", [1e-7, 1e-5, 1e-4])
+def test_lattice_form_matches_per_node_form_times_factor(K, M, N, kdb,
+                                                         lambda_b):
+    # on the dense lattices of T1 / T2 = 2^-2 ... 2^5 (289 to 6,241 keys),
+    # where the near user's transform takes its lattice form, for every
+    # pair of the scenario
+    params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
+    sc = build_scenario(params, PairConfig(), seed=20240717, k_factor_db=kdb)
+    cfg = Inversion2DConfig()
+    for link in sc.links:
+        eff, pair = link.eff_near, link.pair
+        F = outage._near_joint_transform(eff, pair)
+
+        def per_node(s, t):  # the same transform without its lattice form
+            return F(s, t)
+
+        _, phi = outage._user_law(eff, pair, params, False)
+        for ratio in range(-2, 6):
+            periods = cfg.resolve(2.0 ** max(ratio, 0), 2.0 ** max(-ratio, 0),
+                                  lattice=True)
+            assert round(math.log2(periods[0] / periods[1])) == ratio
+            got = laplace._transform_grid(F, phi, periods, cfg)
+            want = laplace._transform_grid(per_node, phi, periods, cfg)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_fresh_near_exact_evaluation_peaks_below_five_grids():
     # one warm evaluation on a fresh grid at the fig7 link: the transform
-    # works in three loop buffers, so the peak stays below eight grid-sized
-    # complex arrays (97 x 193 x 16 B each at the default orders)
+    # takes its lattice form, which builds the grid in place from per-key
+    # values, and the trapezoid sum forms its row sums in place, so the
+    # peak stays below five grid-sized complex arrays (97 x 193 x 16 B
+    # each at the default orders; 4.03 measured)
     params = NetworkParams()
     link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
                           seed=20240717).link(1)
@@ -605,4 +652,29 @@ def test_fresh_near_exact_evaluation_peaks_below_eight_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 97 * 193 * 16
+    assert peak <= 5 * 97 * 193 * 16
+
+
+def test_per_node_grid_peaks_with_its_transform():
+    # at T1 / T2 = 2^6 (12,385 keys) the lattice form does not pay and the
+    # per-node loop builds the grid; the keys and the factor are made
+    # after the loop's temporaries are gone, so the grid peaks within a
+    # quarter grid of the loop alone (the other order: 1 grid above it)
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig()).link(1)
+    F = outage._near_joint_transform(link.eff_near, link.pair)
+    _, phi = outage._user_law(link.eff_near, link.pair, params, False)
+    cfg = Inversion2DConfig()
+    T1, T2, c1, c2 = periods = cfg.resolve(64.0, 1.0, lattice=True)
+    s = c1 + 1j * math.pi * np.arange(97)[:, None] / T1
+    t = c2 + 1j * math.pi * np.arange(-96, 97)[None, :] / T2
+    tracemalloc.start()
+    try:
+        F(s, t)
+        _, alone = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        laplace._transform_grid(F, phi, periods, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= alone + 0.25 * 97 * 193 * 16
