@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import baseline_goodput, maximize_goodput
 from .geometry import GroupingPolicy
-from .laplace import Inversion1DConfig, Inversion2DConfig, invert_1d, invert_2d
+from .laplace import Inversion1DConfig, invert_1d, invert_2d
 from .model import NetworkParams, PairConfig
 from .montecarlo import estimate_outage
 from .outage import (far_outage_average, far_outage_conditional,
@@ -68,7 +68,6 @@ class ExperimentConfig:
     exclusion: str = "none"
     epsilon: float = 0.01
     inv1d: Inversion1DConfig = Inversion1DConfig()
-    inv2d: Inversion2DConfig = Inversion2DConfig()
     out: str = "results"
     label: str = "experiment"
 
@@ -137,7 +136,7 @@ def _rate_ratio(text: str) -> float | None:
 # ExperimentConfig field holding a library config object, or None for a
 # field of ExperimentConfig itself.  Unset keys keep the field's default.
 _PARTS = {"params": NetworkParams, "pair": PairConfig,
-          "inv1d": Inversion1DConfig, "inv2d": Inversion2DConfig}
+          "inv1d": Inversion1DConfig}
 _KEYS = {
     "network.lambda_b": ("params", "lambda_b", float),
     "network.alpha": ("params", "alpha", float),
@@ -170,9 +169,6 @@ _KEYS = {
     "inv1d.a": ("inv1d", "A", float),
     "inv1d.m_euler": ("inv1d", "m_euler", int),
     "inv1d.q": ("inv1d", "q", int),
-    "inv2d.l": ("inv2d", "L", int),
-    "inv2d.p_eps": ("inv2d", "p_eps", int),
-    "inv2d.e_r": ("inv2d", "e_r", float),
     "seed": (None, "seed", int),
     "out": (None, "out", str),
 }
@@ -275,11 +271,11 @@ def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
         sc = _scenario_at(cfg, axis_value)
         link, params = sc.link(1), sc.params
         plain = _scenario_at(cfg, axis_value, scheme="plain").link(1)
-        eps, inv, inv2d = cfg.epsilon, cfg.inv1d, cfg.inv2d
-        runs = (lambda: maximize_goodput(link, eps, params, inv, cfg2d=inv2d),
+        eps, inv = cfg.epsilon, cfg.inv1d
+        runs = (lambda: maximize_goodput(link, eps, params, inv),
                 lambda: baseline_goodput("oma", link, eps, params, inv),
                 lambda: baseline_goodput("oma", plain, eps, params, inv),
-                lambda: maximize_goodput(plain, eps, params, inv, cfg2d=inv2d))
+                lambda: maximize_goodput(plain, eps, params, inv))
         for tag, fn in zip(tags, runs):
             sol = fn()
             yield tag, _Row(sol.p_far, sol.p_near, goodput=sol.goodput)
@@ -309,7 +305,7 @@ def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
                                         cfg.inv1d)
             if method == "exact":
                 pn = near_outage_conditional_exact(link.eff_near, link.pair,
-                                                   params, cfg.inv2d)
+                                                   params)
             else:
                 pn = near_outage_conditional_approx(link.eff_near, link.pair,
                                                     params, cfg.inv1d)
@@ -319,8 +315,7 @@ def _point_rows(cfg: ExperimentConfig, method: str, axis_value: float):
             pf = far_outage_average(link.eff_far, link.pair, params, sc.policy,
                                     cfg.inv1d, interference_limited=il)
             pn = near_outage_average(link.eff_near, link.pair, params,
-                                     sc.policy, cfg.inv2d,
-                                     interference_limited=il)
+                                     sc.policy, interference_limited=il)
         yield tag, _Row(
             pf.probability, pn.probability,
             goodput=_goodput(link.pair, pn.probability, pf.probability))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import _golden_min
-from .laplace import Inversion1DConfig, Inversion2DConfig
+from .laplace import Inversion1DConfig
 from .model import NetworkParams, PairConfig
 from .outage import (EffectiveChannel, _NearJoint, far_outage_conditional,
                      single_stream_outage_conditional)
@@ -69,10 +69,6 @@ class LinearDesign:
     L: np.ndarray          # M x K antenna selection
     gamma: np.ndarray      # K effective gains 1 / (G^-1 G^-H)_kk
     flags: tuple[str, ...] = ()
-
-    @property
-    def min_gain(self) -> float:
-        return float(self.gamma.min())
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,7 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
 
 
 def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
-                     cfg: Inversion1DConfig | None = None,
-                     cfg2d: Inversion2DConfig | None = None) -> RateSolution:
+                     cfg: Inversion1DConfig | None = None) -> RateSolution:
     """Per-pair goodput maximization under outage constraints.
 
     Solves max R_k (1 - p_near) + R_kt (1 - p_far) subject to both outage
@@ -254,12 +249,12 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     the near cap.  The near-user constraint is the exact joint outage: the
     decorrelated approximation double-charges the interference budget of
     the two SIC stages and can push the solution far off the true feasible
-    boundary.
+    boundary.  `cfg` sets the far user's 1D inversions; the near user's
+    joint outage is inverted in 2D at the default `Inversion2DConfig`.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     cfg = cfg or Inversion1DConfig()
-    cfg2d = cfg2d or Inversion2DConfig()
     pair0 = link.pair
     eps = min(epsilon, 1.0 - 1e-12)
 
@@ -271,7 +266,7 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
                                       params, cfg).probability
 
-    near_exact = _NearJoint(link.eff_near, pair0, params, cfg2d)
+    near_exact = _NearJoint(link.eff_near, pair0, params)
 
     @functools.cache
     def p_near(R_k, R_kt):

@@ -63,6 +63,10 @@ class Inversion1DConfig:
         return e / (1.0 - e)
 
 
+# Discretization error target of every 2D inversion; see `resolve`.
+_E_R = 1e-8
+
+
 @dataclass(frozen=True)
 class Inversion2DConfig:
     """Trapezoidal 2D inversion parameters.
@@ -79,17 +83,16 @@ class Inversion2DConfig:
     20 links at lambda_b = 1e-5, the s axis by 2.7e-10.)  Transforms
     without such a factor keep the plain ladder: the raised rung moved
     the interference-free fig6 p_near from 0.914729 to 0.912205.  `L` is
-    the series truncation order, `p_eps` the epsilon-extrapolation depth
-    (2 * p_eps + 1 partial sums) and `e_r` the discretization error target
-    fixing the contour abscissae c1, c2.
+    the series truncation order and `p_eps` the epsilon-extrapolation depth
+    (2 * p_eps + 1 partial sums); the discretization error target `_E_R`
+    fixes the contour abscissae c1, c2.
     """
 
     L: int = 80
     p_eps: int = 8
-    e_r: float = 1e-8
 
     def __post_init__(self):
-        if self.L < 1 or self.p_eps < 1 or not 0 < self.e_r < 1:
+        if self.L < 1 or self.p_eps < 1:
             raise ValueError(f"invalid 2D inversion configuration {self}")
 
     def resolve(self, theta1: float, theta2: float, lattice: bool = False
@@ -100,10 +103,10 @@ class Inversion2DConfig:
         if lattice and (j1 - j2) % 2:
             j1 += 1
         T1, T2 = _rung_period(j1), _rung_period(j2)
-        # exp(-2 T1 c1) = e_r / 100, so the c1 wrap-around stays below e_r.
-        c1 = -math.log(0.01 * self.e_r) / (2 * T1)
+        # exp(-2 T1 c1) = _E_R / 100, so the c1 wrap-around stays below _E_R.
+        c1 = -math.log(0.01 * _E_R) / (2 * T1)
         xi = math.exp(-2 * T1 * c1)
-        c2 = -math.log(self.e_r / (1 - xi)) / (2 * T2)
+        c2 = -math.log(_E_R / (1 - xi)) / (2 * T2)
         return T1, T2, c1, c2
 
 

@@ -403,9 +403,10 @@ class _NearJoint:
     own-message) success event, built on first use, and its most recently
     used transform grids (`invert_2d`'s `grids`).  Rates whose abscissae
     fall on the same period-ladder rungs share a grid, and the value is
-    bit-identical to a fresh evaluation.  The joint inversion reaches
-    `_outage` as its `joint`; the stages' 1D marginals use the default
-    `Inversion1DConfig`.
+    bit-identical to a fresh evaluation.  The joint inversion, at `cfg`
+    (which only `near_outage_conditional_exact` passes; the default
+    `Inversion2DConfig` otherwise), reaches `_outage` as its `joint`; the
+    stages' 1D marginals use the default `Inversion1DConfig`.
     """
 
     def __init__(self, eff: EffectiveChannel, pair: PairConfig,
@@ -470,14 +471,15 @@ def single_stream_outage_conditional(eff: EffectiveChannel, rate: float,
 
 
 def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
-                        params: NetworkParams, policy: GroupingPolicy,
-                        cfg: Inversion2DConfig | None = None,
+                        params: NetworkParams, policy: GroupingPolicy, *,
                         interference_limited: bool = False) -> OutageResult:
     """Near-user outage averaged over the policy's serving-distance law.
 
-    The same joint evaluation as `near_outage_conditional_exact`, with the
-    distance-averaged factor of s + t in place of the conditional one;
-    `invert_2d` asks for it once per distinct s + t.
+    The same joint evaluation as `near_outage_conditional_exact`, at the
+    default `Inversion2DConfig`, with the distance-averaged factor of s + t
+    in place of the conditional one; `invert_2d` asks for it once per
+    distinct s + t.
     """
-    return _NearJoint(eff, pair, params, cfg, policy,
-                      interference_limited)(pair.R_k, pair.R_kt)
+    joint = _NearJoint(eff, pair, params, policy=policy,
+                       interference_limited=interference_limited)
+    return joint(pair.R_k, pair.R_kt)

@@ -214,7 +214,7 @@ def test_criterion_7_signal_alignment(table_params):
                 continue
             W = np.linalg.inv(G) @ np.linalg.inv(G).conj().T
             best = max(best, float((1.0 / np.diag(W).real).min()))
-        assert design.min_gain >= best - 1e-10 * abs(best)
+        assert design.gamma.min() >= best - 1e-10 * abs(best)
     _ok("criterion 7: alignment residuals, unit norms and min-gain "
         "optimality over 100 random channels")
 

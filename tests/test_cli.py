@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nomacell import Inversion1DConfig, Inversion2DConfig, RateSolution, cli
+from nomacell import Inversion1DConfig, RateSolution, cli
 from nomacell.cli import (ConfigError, PRESETS, load_config, main,
                           preset_path, run, validate)
 
@@ -153,14 +153,14 @@ class TestRun:
             assert rows[1][1:3] == ["nan", "nan"] and rows[1][6] == tag
             assert "nan" not in rows[0]
 
-    def test_optimize_passes_both_inversion_configs(self, tmp_path,
-                                                   monkeypatch):
-        # the proposed design and the plain-NOMA baseline both run the exact
-        # near-user outage, so both must see the configured 2D inversion
+    def test_optimize_passes_inv1d_to_both_goodput_runs(self, tmp_path,
+                                                       monkeypatch):
+        # the proposed design and the plain-NOMA baseline both see the
+        # configured 1D inversion, and no other setting
         seen = []
 
         def spy(link, epsilon, params, cfg=None, **kwargs):
-            seen.append((cfg, kwargs.get("cfg2d")))
+            seen.append((cfg, kwargs))
             return RateSolution(1.0, 0.5, 1.4, 0.01, 0.01)
 
         monkeypatch.setattr(cli, "maximize_goodput", spy)
@@ -168,11 +168,9 @@ class TestRun:
                             lambda *args, **kwargs: RateSolution(
                                 0.5, 0.25, 0.7, 0.01, 0.01))
         text = ("methods = optimize\nsweep.axis = k_factor_db\n"
-                "sweep.values = 20\ninv1d.q = 20\ninv2d.l = 30\n"
-                f"inv2d.p_eps = 4\nout = {tmp_path}/o\n")
+                f"sweep.values = 20\ninv1d.q = 20\nout = {tmp_path}/o\n")
         run(load_config(_write(tmp_path, text)), deterministic=True)
-        assert seen == [(Inversion1DConfig(q=20),
-                         Inversion2DConfig(L=30, p_eps=4))] * 2
+        assert seen == [(Inversion1DConfig(q=20), {})] * 2
 
 
 # Configs that must fail at load time, with a text the error must name.
@@ -200,7 +198,8 @@ BAD_CONFIGS = [
     pytest.param("network.lambda_b = 0\nmc.exclusion = bogus\n",
                  "mc.exclusion", id="exclusion-no-base-stations"),
     pytest.param("inv1d.q = -1\n", "q=-1", id="inv1d-q"),
-    pytest.param("inv2d.e_r = 2\n", "e_r=2.0", id="inv2d-e_r"),
+    pytest.param("seed = 1\ninv2d.l = 30\n", "line 2: unknown key 'inv2d.l'",
+                 id="inv2d-retired"),
     pytest.param("mode = average\nnetwork.lambda_b = 0\n", "lambda_b > 0",
                  id="average-no-base-stations"),
     pytest.param("mode = average\nsweep.axis = lambda_b\n"

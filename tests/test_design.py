@@ -138,7 +138,7 @@ class TestBuildPrecoder:
         design = build_precoder(channels, params)
         best = self._best_min_gain(channels, M,
                                    itertools.permutations(range(M), K))
-        assert design.min_gain == pytest.approx(best, rel=1e-10)
+        assert design.gamma.min() == pytest.approx(best, rel=1e-10)
 
     def test_enumerates_every_subset_before_subsampling(self, rng):
         # 56 subsets of 5 of 8 antennas (6,720 orderings) are all evaluated
@@ -149,7 +149,7 @@ class TestBuildPrecoder:
         assert "selection_subsampled" not in design.flags
         best = self._best_min_gain(channels, M,
                                    itertools.combinations(range(M), K))
-        assert design.min_gain == pytest.approx(best, rel=1e-10)
+        assert design.gamma.min() == pytest.approx(best, rel=1e-10)
 
     def test_subsampled_selection_is_reproducible(self, rng):
         # C(15, 7) = 6,435 subsets exceed the enumeration cap
@@ -169,7 +169,7 @@ class TestBuildPrecoder:
         channels = _draw_channels(rng)
         d1 = build_precoder(channels, params)
         d2 = build_precoder(channels[::-1], params)
-        assert d1.min_gain == pytest.approx(d2.min_gain, rel=1e-10)
+        assert d1.gamma.min() == pytest.approx(d2.gamma.min(), rel=1e-10)
         assert np.allclose(np.sort(d1.gamma), np.sort(d2.gamma))
 
     def test_scalar_case(self, rng):

@@ -396,6 +396,16 @@ class TestAverageOutage:
         for scale in (1 + 1e-15, 1 - 1e-15):
             assert abs(p_near(scale) - base) <= 1e-9
 
+    def test_near_average_takes_no_inversion_config(self, table_params,
+                                                    table_pair):
+        # a fifth positional argument must raise, not be read as
+        # `interference_limited`, which selects the closed form
+        policy = GroupingPolicy("random")
+        link = self._fig3_link(table_params, table_pair, policy)
+        with pytest.raises(TypeError):
+            near_outage_average(link.eff_near, link.pair, table_params,
+                                policy, Inversion2DConfig())
+
     @pytest.mark.parametrize("policy, lambda_b, R_kt", [
         # a distance-policy point that moved by ~1e-4 under A = 20 when
         # the mixture integrals came from adaptive quadrature
