@@ -9,13 +9,13 @@ channels so both users of a pair see the same effective channel.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import _golden_min
 from .laplace import Inversion1DConfig
 from .model import NetworkParams, PairConfig
 from .outage import (EffectiveChannel, _NearJoint, far_outage_conditional,
@@ -51,12 +51,10 @@ _ITP_K2 = 2.0
 _ITP_N0 = 1
 # Upper end of a rate bracket that no link quantity bounds, in bit/s/Hz.
 _RATE_MAX = 64.0
-# Relative step of the optimizers' corner probes, and the relative bracket
-# width at which the pair optimizer's golden-section fallback stops.
+# Relative step of the pair optimizer's corner probes.
 _CORNER_STEP = 1e-3
-_LINE_TOL = 1e-4
-# Points of the rate grid that brackets a single-stream optimum.
-_STREAM_GRID = 48
+# Relative goodput gap at which the rate-box search stops.
+_BOX_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -231,6 +229,39 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
     return a
 
 
+def _box_search(outages, epsilon: float, top: tuple, start: tuple):
+    """Best rates x in the box [0, top] by monotone branch-and-bound.
+
+    Maximizes sum_i x_i (1 - p_i(x)) subject to p_i(x) <= epsilon, where
+    `outages(x)` gives the p_i, each nondecreasing in every rate (Tuy,
+    SIAM J. Optim. 11(2), 2000).  A box [a, b] bounds the goodput by
+    sum_i b_i (1 - p_i(a)) and is dropped when p(a) misses epsilon.  From
+    the feasible incumbent `start`, the box of largest bound is halved
+    along its longest side and each feasible lower corner is a candidate,
+    until no bound exceeds the incumbent by more than `_BOX_RTOL` of it.
+    Returns (rates, goodput) of the incumbent.
+    """
+    def value(x, p):
+        return sum(r * (1.0 - q) for r, q in zip(x, p))
+
+    best, g = start, value(start, outages(start))
+    origin = (0.0,) * len(top)
+    boxes = [(-value(top, outages(origin)), origin, top)]
+    while boxes and -boxes[0][0] > g * (1.0 + _BOX_RTOL):
+        _, a, b = heapq.heappop(boxes)
+        i = max(range(len(a)), key=lambda j: b[j] - a[j])
+        mid = 0.5 * (a[i] + b[i])
+        for lo, hi in ((a, b[:i] + (mid,) + b[i + 1:]),
+                       (a[:i] + (mid,) + a[i + 1:], b)):
+            p = outages(lo)
+            if max(p) > epsilon:
+                continue
+            if value(lo, p) > g:
+                best, g = lo, value(lo, p)
+            heapq.heappush(boxes, (-value(hi, p), lo, hi))
+    return best, g
+
+
 def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
                      cfg: Inversion1DConfig | None = None) -> RateSolution:
     """Per-pair goodput maximization under outage constraints.
@@ -244,9 +275,9 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     there, each cap found by `_bisect_rate_cap`'s ITP search.  The corner
     is returned when two one-sided probes, a step `_CORNER_STEP` back along
     the near-cap boundary and in R_k alone, both lose goodput.  Otherwise
-    a golden-section search over R_kt maximizes the best goodput at each
-    R_kt: the unconstrained maximizer in R_k when it meets epsilon, else
-    the near cap.  The near-user constraint is the exact joint outage: the
+    `_box_search` certifies the optimum to `_BOX_RTOL` over the box
+    [0, near cap at a vanishing R_kt] x [0, corner R_kt], which holds every
+    feasible pair.  The near-user constraint is the exact joint outage: the
     decorrelated approximation double-charges the interference budget of
     the two SIC stages and can push the solution far off the true feasible
     boundary.  `cfg` sets the far user's 1D inversions; the near user's
@@ -267,10 +298,7 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
                                       params, cfg).probability
 
     near_exact = _NearJoint(link.eff_near, pair0, params)
-
-    @functools.cache
-    def p_near(R_k, R_kt):
-        return near_exact(R_k, R_kt).probability
+    p_near = functools.cache(lambda *rates: near_exact(*rates).probability)
 
     def near_cap(R_kt):
         return _bisect_rate_cap(lambda R: p_near(R, R_kt), eps, _RATE_MAX)
@@ -289,20 +317,8 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     back = R_kt * (1.0 - _CORNER_STEP)
     if (goodput(near_cap(back), back) >= g
             or goodput(R_k * (1.0 - _CORNER_STEP), R_kt) >= g):
-        # every feasible R_k lies below the near cap at a vanishing R_kt
-        k_hi = near_cap(1e-9)
-
-        @functools.cache
-        def best_at(R_kt):
-            R, _ = _golden_min(lambda R: -goodput(R, R_kt), 0.0, k_hi,
-                               tol=_LINE_TOL)
-            if p_near(R, R_kt) > epsilon:
-                R = _bisect_rate_cap(lambda r: p_near(r, R_kt), eps, R)
-            return goodput(R, R_kt), R
-
-        x, f = _golden_min(lambda x: -best_at(x)[0], 0.0, R_kt, tol=_LINE_TOL)
-        if -f > g:
-            (g, R_k), R_kt = best_at(x), x
+        (R_k, R_kt), g = _box_search(lambda x: (p_near(*x), p_far(x[1])), eps,
+                                     (near_cap(1e-9), R_kt), (R_k, R_kt))
     return RateSolution(float(R_k), float(R_kt), float(g), p_near(R_k, R_kt),
                         p_far(R_kt))
 
@@ -314,10 +330,9 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
     """Optimal delivered rate for an orthogonally scheduled user.
 
     The user holds the channel for a `share` fraction of the resource, so a
-    delivered rate R requires decoding at R / share.  The outage cap is
-    returned when a probe a step `_CORNER_STEP` below it loses goodput;
-    otherwise a grid brackets the goodput's maximum and golden-section
-    search refines it.  Returns (R, goodput, outage).
+    delivered rate R requires decoding at R / share.  From the outage cap,
+    `_box_search` certifies the best rate below it to `_BOX_RTOL`.
+    Returns (R, goodput, outage).
     """
     cfg = cfg or Inversion1DConfig()
 
@@ -328,18 +343,12 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
 
     mu2, noise = eff.own_gain2, eff.noise(d, params)
     hard_cap = share * math.log2(1.0 + mu2 / noise) if noise > 0 else _RATE_MAX * share
-    cap = _bisect_rate_cap(p_of, min(epsilon, 1.0 - 1e-12), hard_cap)
+    eps = min(epsilon, 1.0 - 1e-12)
+    cap = _bisect_rate_cap(p_of, eps, hard_cap)
     if cap <= 0.0:
         return 0.0, 0.0, 1.0
-    g_cap = cap * (1.0 - p_of(cap))
-    back = cap * (1.0 - _CORNER_STEP)
-    if back * (1.0 - p_of(back)) < g_cap:
-        return float(cap), float(g_cap), float(p_of(cap))
-    axis = np.linspace(cap / _STREAM_GRID, cap, _STREAM_GRID)
-    i = int(np.argmax([R * (1.0 - p_of(R)) for R in axis]))
-    R, f = _golden_min(lambda R: -R * (1.0 - p_of(R)), axis[max(i - 1, 0)],
-                       axis[min(i + 1, _STREAM_GRID - 1)])
-    return float(R), float(-f), float(p_of(R))
+    (R,), g = _box_search(lambda x: (p_of(*x),), eps, (cap,), (cap,))
+    return float(R), float(g), float(p_of(R))
 
 
 def baseline_goodput(scheme: str, link: PairLink, epsilon: float,
