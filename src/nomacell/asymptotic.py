@@ -30,7 +30,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateThresholds:
     """Per-realization rate bounds below which outage vanishes as the
     channel uncertainty does (bps/Hz; inf when a denominator vanishes)."""

@@ -57,7 +57,7 @@ _CORNER_STEP = 1e-3
 _BOX_RTOL = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearDesign:
     """Precoder, per-pair receive filters and the aligned effective gains."""
 
@@ -69,7 +69,7 @@ class LinearDesign:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairLink:
     """Everything the outage engine needs about one NOMA pair."""
 
@@ -78,7 +78,7 @@ class PairLink:
     pair: PairConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateSolution:
     """Optimized per-pair rates with the achieved outage/goodput."""
 

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb, gamma
 
 from .model import NetworkParams
 
@@ -20,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupingPolicy:
     """NOMA user-grouping policy.
 
@@ -62,7 +61,7 @@ def interference_coefficient(u: np.ndarray, params: NetworkParams) -> float:
     """
     u = np.asarray(u)
     overlap = abs(np.sum(np.conj(u))) ** 2
-    return float(gamma(1.0 - 2.0 / params.alpha)
+    return float(math.gamma(1.0 - 2.0 / params.alpha)
                  * (params.rho_I / params.P * overlap) ** (2.0 / params.alpha))
 
 
@@ -76,25 +75,28 @@ def distance_mixture(rank: int, n_total: int) -> list[tuple[float, int]]:
     """
     if not 1 <= rank <= n_total:
         raise ValueError(f"rank {rank} outside [1, {n_total}]")
-    head = rank * comb(n_total, rank)
+    head = rank * math.comb(n_total, rank)
     terms = []
     for l in range(rank):
-        coeff = head * (-1.0) ** l * comb(rank - 1, l)
+        coeff = head * (-1) ** l * math.comb(rank - 1, l)
         m = n_total - rank + l + 1
         terms.append((float(coeff), int(m)))
     return terms
 
 
-def _exp_sinh_nodes(step: float):
-    """Exp-sinh rule x = exp(pi/2 sinh t) on [0, inf): nodes and weights for
-    t from -4.5 (x = 2e-31) in steps of `step` up to x = 1e3."""
-    t = np.arange(-4.5, math.asinh(math.log(1e3) / (0.5 * math.pi)), step)
-    x = np.exp(0.5 * math.pi * np.sinh(t))
-    return x, step * 0.5 * math.pi * np.cosh(t) * x
+def _exp_sinh_nodes(step: float, x_min: float = 1e-17, x_max: float = 60.0):
+    """Exp-sinh rule x = exp(pi/2 sinh t) on [0, inf): nodes and weights at
+    t = k * step, k integer, with x in [x_min, x_max]."""
+    scale = 0.5 * math.pi
+    lo, hi = (math.asinh(math.log(v) / scale) / step for v in (x_min, x_max))
+    t = step * np.arange(math.ceil(lo), math.floor(hi) + 1)
+    x = np.exp(scale * np.sinh(t))
+    return x, step * scale * np.cosh(t) * x
 
 
-# 214 nodes; a quarter step moves no tested integral by over 1.2e-15 relative
-# (alpha 2.05 to 6).  The scaled integrand is below exp(-x / sqrt(2)), x >= 1.
+# 179 nodes; a quarter step moves no tested integral by over 1.3e-15 relative
+# (alpha 2.05 to 6).  The scaled integrand is below exp(-x / sqrt(2)), x >= 1,
+# so the nodes past x = 60 (and below 1e-17) would add under 1e-18.
 _STEP = 1.0 / 32.0
 _NODES = _exp_sinh_nodes(_STEP)
 
@@ -107,14 +109,33 @@ def _mixture_integral(a, b, p: float, nodes=_NODES):
     rotated coefficients keep |arg| <= |arg s| / (1 + p) < pi / (2 + alpha):
     the rotation is exact (Cauchy) and the integrand decays without
     oscillating.  The ray is scaled by sigma = max(|b|, |a|^(1/p)).
+
+    The integrand e^u (cos v + i sin v) is summed in real arithmetic: with
+    t = tan(-v / 2), cos v = (1 - t^2) / (1 + t^2) and sin v = -2 t / (1 + t^2),
+    since numpy vectorizes real `exp` and `tan` where complex `exp`, `cos`
+    and `sin` may go through scalar libm.  u and -v / 2 share one buffer:
+    each fresh temporary of this size can cost its pages' faults again.
     """
     x, w = nodes
     phi = (np.angle(a) + np.angle(b)) / (1.0 + p)
     sigma = np.maximum(np.abs(b), np.abs(a) ** (1.0 / p))
     a_rot = (a * np.exp(-1j * p * phi) / sigma ** p)[..., None]
     b_rot = (b * np.exp(-1j * phi) / sigma)[..., None]
-    vals = np.exp(-a_rot * x ** p - b_rot * x) @ w
-    return np.exp(-1j * phi) / sigma * vals
+    # u + i v = -(a_rot x^p + b_rot x) = -x (a_rot x^(p - 1) + b_rot)
+    part = np.stack([-a_rot.real, 0.5 * a_rot.imag]) * x ** (p - 1.0)
+    part += np.stack([-b_rot.real, 0.5 * b_rot.imag])
+    part *= x
+    scaled, t = part
+    np.exp(scaled, out=scaled)
+    np.tan(t, out=t)
+    den = t * t
+    den += 1.0
+    scaled /= den
+    np.subtract(2.0, den, out=den)
+    t *= scaled
+    scaled *= den
+    sums = np.einsum("...k,k->...", part, w)
+    return np.exp(-1j * phi) / sigma * (sums[0] - 2j * sums[1])
 
 
 def policy_laplace_factor(s, mixture: list[tuple[float, int]],

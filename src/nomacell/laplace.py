@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 __all__ = [
     "Inversion1DConfig",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inversion1DConfig:
     """Euler-summation inversion parameters.
 
@@ -67,7 +66,7 @@ class Inversion1DConfig:
 _E_R = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inversion2DConfig:
     """Trapezoidal 2D inversion parameters.
 
@@ -153,8 +152,9 @@ def invert_1d(transform, tau: float, config: Inversion1DConfig | None = None) ->
 
 @functools.lru_cache(maxsize=None)
 def _euler_weights(M: int) -> np.ndarray:
-    """Binomial averaging weights C(M, m) / 2^M, m = 0..M (read-only)."""
-    weights = comb(M, np.arange(0, M + 1)) / 2.0 ** M
+    """Binomial averaging weights C(M, m) / 2^M, m = 0..M (read-only), each
+    the exact fraction correctly rounded."""
+    weights = np.array([math.comb(M, m) / 2 ** M for m in range(M + 1)])
     weights.flags.writeable = False
     return weights
 

@@ -24,7 +24,7 @@ __all__ = [
 _PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkParams:
     """Global scenario description of the small-cell network.
 
@@ -94,7 +94,7 @@ def _hermitian_sqrt(R: np.ndarray) -> np.ndarray:
     return (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelEstimate:
     """Known channel part with the Kronecker error statistics.
 
@@ -168,7 +168,7 @@ def error_variance_for_k_factor(k_factor: float, h_norm2: float,
     return float(h_norm2 / (k_factor * np.trace(R_t).real * np.trace(R_r).real))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairConfig:
     """Per-pair NOMA configuration: power split, target rates, link geometry.
 

@@ -40,7 +40,7 @@ _MAX_MEAN_POINTS = 2000.0
 _BLOCK_POINTS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McEstimate:
     """Empirical probability with its binomial standard error."""
 
@@ -55,7 +55,7 @@ class McEstimate:
         return McEstimate(p, math.sqrt(p * (1.0 - p) / n), n, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McOutageReport:
     """Outage estimates for one pair, with per-stage near-user diagnostics."""
 

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectiveChannel:
     """Post-filter view of one user's link.
 
@@ -76,7 +76,7 @@ class EffectiveChannel:
         return self.sigma_u2 / (params.P * params.path_loss(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutageResult:
     """Clamped probability plus the raw inversion value and quality flag."""
 
@@ -199,9 +199,9 @@ def _interference_phi(omega: float, d: float, params: NetworkParams):
 
 
 # Points per distance-averaged factor pass (one row of the default 2D grid):
-# the exp-sinh rule's intermediates hold one value per node, point and
-# mixture term, about 0.7 MB per term here, where one pass over all 18,721
-# grid points raised peak memory by about 120 MB.
+# the exp-sinh rule's intermediates hold three real values per node, point
+# and mixture term, about 0.86 MB per term here (tracemalloc peak), where one
+# pass over all 18,721 grid points would take about 84 MB per term.
 _FACTOR_CHUNK = 193
 
 

@@ -20,7 +20,7 @@ from .outage import effective_channel
 __all__ = ["Scenario", "build_scenario"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A fully realized experiment: channels, design and per-pair links."""
 

@@ -20,11 +20,13 @@ def test_package_names_are_the_submodule_exports():
     assert public == exported | submodules
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # the distance average has its own quadrature rule; scipy.integrate
-    # would add ~0.3 s and ~25 MB to every import
+def test_import_leaves_scipy_unloaded():
+    # the distance average has its own quadrature rule and the binomials,
+    # Gamma and erfc come from `math`; scipy.integrate would add ~0.3 s and
+    # ~25 MB to every import, and scipy.special alone 0.22 s and 24 MB
     env = dict(os.environ, PYTHONPATH=str(Path(nomacell.__file__).parents[1]))
-    code = "import sys, nomacell; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, nomacell; print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

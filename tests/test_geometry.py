@@ -12,7 +12,7 @@ from distance_laws import (ordered_distance_pdf, serving_distance_cdf,
 from nomacell import (GroupingPolicy, NetworkParams, distance_mixture,
                       interference_coefficient, policy_laplace_factor,
                       sample_serving_distances)
-from nomacell.geometry import _STEP, _exp_sinh_nodes, _mixture_integral
+from nomacell.geometry import _NODES, _STEP, _exp_sinh_nodes, _mixture_integral
 from nomacell.montecarlo import _MAX_MEAN_POINTS, _interference
 
 # 1% two-sided Kolmogorov-Smirnov critical value factor
@@ -30,6 +30,18 @@ def _mixture_arguments(alpha, n, rng, s_decades=(-3.0, 4.0),
     a = (10.0 ** rng.uniform(*ratio_decades, n) * np.abs(b) ** (alpha / 2)
          * np.exp(1j * np.angle(s)))
     return a, b
+
+
+def _complex_exp_integral(a, b, p, nodes=_NODES):
+    """`_mixture_integral` as one complex `exp` of the rotated exponent,
+    summed by a matrix product: the reference for the real-arithmetic sum."""
+    x, w = nodes
+    phi = (np.angle(a) + np.angle(b)) / (1.0 + p)
+    sigma = np.maximum(np.abs(b), np.abs(a) ** (1.0 / p))
+    a_rot = (a * np.exp(-1j * p * phi) / sigma ** p)[..., None]
+    b_rot = (b * np.exp(-1j * phi) / sigma)[..., None]
+    vals = np.exp(-a_rot * x ** p - b_rot * x) @ w
+    return np.exp(-1j * phi) / sigma * vals
 
 
 class TestServingDistance:
@@ -249,6 +261,27 @@ class TestPolicyFactor:
         fine = _mixture_integral(a, b, alpha / 2, _exp_sinh_nodes(_STEP / 4))
         got = _mixture_integral(a, b, alpha / 2)
         assert np.max(np.abs(got - fine) / np.abs(fine)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", (2.05, 3.5, 4.0, 6.0))
+    def test_real_sum_matches_complex_exp(self, alpha):
+        # e^u (cos v, sin v) from real exp and the tangent half-angle
+        # agrees with one complex exp per node, node for node
+        a, b = _mixture_arguments(alpha, 2000, np.random.default_rng(53))
+        want = _complex_exp_integral(a, b, alpha / 2)
+        got = _mixture_integral(a, b, alpha / 2)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 2e-15
+
+    @pytest.mark.parametrize("alpha", (2.05, 3.5, 4.0, 6.0))
+    def test_trimmed_nodes_match_the_full_range(self, alpha):
+        # the nodes outside x in [1e-17, 60] add nothing visible: the rule
+        # on t = -4.5 .. 2.19 (x from 2e-31 to 1e3) at the same step
+        full = _exp_sinh_nodes(_STEP, 1e-31, 1e3)
+        a, b = _mixture_arguments(alpha, 2000, np.random.default_rng(59))
+        want = _mixture_integral(a, b, alpha / 2, full)
+        got = _mixture_integral(a, b, alpha / 2)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 2e-15
+        assert len(full[0]) == 214 and len(_NODES[0]) == 179
+        assert np.isin(_NODES[0], full[0]).all()
 
     def test_rule_matches_gaussian_closed_form(self):
         # alpha = 4: int exp(-a z^2 - b z) dz = sqrt(pi / a) erfcx(w) / 2

@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ class TestInvert1D:
         with pytest.raises(ValueError):
             weights[0] = 1.0
         assert _same_bits(weights, comb(11, np.arange(12)) / 2.0 ** 11)
+
+    @pytest.mark.parametrize("M", (11, 20, 40, 80))
+    def test_euler_weights_are_exact_fractions(self, M):
+        # each weight is C(M, m) / 2^M correctly rounded, and they sum to 1;
+        # a float binomial is one ulp off for some m at M >= 31
+        weights = laplace._euler_weights(M)
+        for m, w in enumerate(weights):
+            exact = Fraction(math.comb(M, m), 2 ** M)
+            assert abs(Fraction(float(w)) - exact) <= Fraction(math.ulp(w)) / 2
+        assert math.fsum(weights) == 1.0
 
     def test_flags_nonfinite_transform(self):
         with np.errstate(invalid="ignore", divide="ignore"):
