@@ -187,15 +187,64 @@ def _concentration_margin(zeta2: np.ndarray, delta: np.ndarray, tau: float):
     return None
 
 
+def _exp_polar(u, half_v, re, im):
+    """re + i im = exp(u + 2i half_v), elementwise over real arrays, which
+    it overwrites (`re` and `im` may be `u` and `half_v`).
+
+    One real exp and one tan t = tan(half_v) give the pair: cos 2 half_v =
+    2 / (1 + t^2) - 1 and sin 2 half_v = 2 t / (1 + t^2), since numpy
+    vectorizes real `exp` and `tan` where complex `exp` may go through
+    scalar libm (as `geometry._mixture_integral` does).
+    """
+    np.exp(u, out=u)
+    t = np.tan(half_v, out=half_v)
+    k = t * t
+    k += 1.0
+    np.divide(u, k, out=k)  # e^u / (1 + t^2)
+    t *= k
+    np.add(t, t, out=im)
+    k += k
+    np.subtract(k, u, out=re)
+
+
+def _exp(z):
+    """exp(z) in place over a complex array, by `_exp_polar`."""
+    part = np.empty((2,) + z.shape)
+    np.copyto(part[0], z.real)
+    np.multiply(z.imag, 0.5, out=part[1])
+    _exp_polar(part[0], part[1], z.real, z.imag)
+
+
 def _interference_phi(omega: float, d: float, params: NetworkParams):
     """Interference factor exp(-c s^(2/alpha)) of the conditional
     transforms, or None in an interference-free network, where the factor
-    is the constant 1."""
+    is the constant 1.
+
+    Real arithmetic throughout (Re s > 0): s^p = exp(p log|s| + i p arg s)
+    and then exp(-c s^p), each by `_exp_polar`.
+    """
     expo = 2.0 / params.alpha
     coeff = math.pi * params.lambda_b * omega * d * d
     if coeff == 0.0:
         return None
-    return lambda s: np.exp(-coeff * s ** expo)
+    # (log|s|, arg s) -> (p log|s|, p arg s / 2); (Re, Im) s^p -> (-c Re,
+    # -c Im / 2)
+    scale = np.array([[expo], [0.5 * expo]])
+    flip = np.array([[-coeff], [-0.5 * coeff]])
+
+    def phi(s):
+        part = np.empty((2,) + s.shape)
+        size, angle = part[0], part[1]
+        np.log(np.abs(s, out=size), out=size)
+        np.arctan2(s.imag, s.real, out=angle)
+        part *= scale
+        _exp_polar(size, angle, size, angle)
+        part *= flip
+        out = np.empty(s.shape, dtype=complex)
+        _exp_polar(size, angle, out.real, out.imag)
+        return out
+
+    return phi
 
 
 # Points per distance-averaged factor pass (one row of the default 2D grid):
@@ -306,17 +355,19 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
     only through a handful of projections onto the error eigenbasis, which
     are precomputed.  The form then loops over the K eigencomponents, each
     term evaluated on a whole (s, t) grid at once, accumulating the
-    exponent and the product s t prod_i (1 + (s + t) delta_i).  The loop
-    runs in three grid buffers with in-place ufuncs, in the operation and
-    operand order of the plain broadcasting expression, so it gives that
-    expression's bits.
+    negated exponent and the product s t prod_i (1 + (s + t) delta_i).
+    The loop runs in three grid buffers with in-place ufuncs, in the
+    operation and operand order of the plain broadcasting expression, and
+    takes its exp in real arithmetic (`_exp`), so it agrees with that
+    expression to rounding (below 1e-12 relative), not bit for bit.
 
     Its `on_lattice` method builds a lattice grid of `invert_2d`, factor
     included (see `laplace._transform_grid`).  With sigma = beta_k2 s the
     exponent is a quadratic in sigma whose coefficients, like the factor
     over prod_i (1 + u delta_i), depend on u = s + t alone: they are
     evaluated once per lattice key, and each node takes one quadratic in
-    sigma, one exp and the products with the per-key factor and 1 / (s t).
+    sigma, one exp (`_exp`, as in the loop) and the products with the
+    per-key factor and 1 / (s t).
     That agrees with the loop times the factor to rounding (below 1e-12
     relative; the terms of the exponent cancel most at low K-factors), not
     bit for bit.  The interference-free transform has no factor and keeps
@@ -351,10 +402,9 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
             right += w_proj[i]
             left *= right
             left /= denom
-            quad += left
+            quad -= left
             den *= denom
-        np.negative(quad, out=quad)
-        np.exp(quad, out=quad)
+        _exp(quad)
         quad /= den
         return quad
 
@@ -384,7 +434,7 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig):
         grid += view(e1)
         grid *= sigma
         grid += view(e0)
-        np.exp(grid, out=grid)
+        _exp(grid)
         grid *= view(factor / den)
         grid *= 1.0 / s
         grid *= 1.0 / t

@@ -535,7 +535,8 @@ def _broadcast_joint_transform(eff, pair):
 
 def _joint_transform_reference(eff, pair):
     """The near-joint transform's loop as plain broadcasting expressions,
-    one new grid per operation; the in-place loop must give its bits."""
+    one new grid per operation, with a complex exp; the in-place loop, whose
+    exp runs in real arithmetic, must match it to rounding."""
     delta, b2, bt2, p_proj, r_proj, q_proj, w_proj = _joint_projections(eff,
                                                                         pair)
 
@@ -570,10 +571,10 @@ def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
                                                 average, kdb, rates):
     # on the grids invert_2d builds, for every pair (so the own stream is
     # not always the first) and on the average's periods.  Without
-    # interference the per-node loop runs and gives the bits of the plain
-    # loop; with it the lattice form runs, and matches the plain loop
-    # times the per-key factor to rounding.  Both match the broadcast form
-    # to rounding.
+    # interference the per-node loop runs and matches the plain loop to
+    # rounding (their exps differ); with it the lattice form runs, and
+    # matches the plain loop times the per-key factor to rounding.  Both
+    # match the broadcast form to rounding.
     params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
     sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
                         k_factor_db=kdb, policy=_RANDOM)
@@ -611,11 +612,73 @@ def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
     assert paths == {"per_node" if lambda_b == 0.0 else "lattice"}
     for path, got, loop, want in grids:
         if path == "per_node":
-            assert got.tobytes() == loop.tobytes()
+            np.testing.assert_allclose(got, loop, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         else:
             np.testing.assert_allclose(got, loop, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _complex_interference_phi(omega, d, params):
+    """`outage._interference_phi` as complex arithmetic, exp(-c s^(2/alpha)):
+    the reference for the real-arithmetic kernel."""
+    coeff = math.pi * params.lambda_b * omega * d * d
+    return lambda s: np.exp(-coeff * s ** (2.0 / params.alpha))
+
+
+@lru_cache(maxsize=None)
+def _factor_points():
+    """The points where the factor runs: 1D Euler contours at both orders
+    the library and its checks use, the lattice keys u of four period
+    ratios, and the per-node s + t of a wide lattice (T1 / T2 = 256,
+    where no two nodes share a key)."""
+    points = []
+
+    def recording(s):
+        points.append(s.copy())
+        return np.ones_like(s)
+
+    for cfg in (Inversion1DConfig(), Inversion1DConfig(m_euler=20, q=60)):
+        for tau in np.geomspace(1e-3, 1e3, 7):
+            invert_1d(recording, tau, cfg)
+    cfg = Inversion2DConfig()
+    for theta in ((1.0, 1.0), (8.0, 1.0), (1.0, 8.0), (64.0, 1.0),
+                  (256.0, 1.0)):
+        periods = cfg.resolve(*theta, lattice=True)
+        laplace._transform_grid(
+            lambda s, t: np.ones(np.broadcast_shapes(s.shape, t.shape),
+                                 complex), recording, periods, cfg)
+    return tuple(points)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.5, 4.0, 6.0])
+@pytest.mark.parametrize("lambda_b", [1e-7, 1e-5, 1e-4])
+def test_interference_factor_matches_complex_form(alpha, lambda_b):
+    # c s^p and its exp, both in real arithmetic, round the exponent within
+    # a few ulp of |c s^p| (relative error at most 9.8 eps (1 + c |s|^p)
+    # measured; c |s|^p reaches millions on the shortest 1D contour).  The
+    # phase c |s|^p |sin(p arg s)| alone would leave out the near-real
+    # points, whose real part rounds the same way.
+    params = NetworkParams(lambda_b=lambda_b, alpha=alpha)
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717).link(1)
+    omega, p = link.eff_near.omega, 2.0 / alpha
+    points = _factor_points()
+    assert {s.size for s in points} >= {27, 81, 289, 1633, 12385, 18721}
+    for d in (link.pair.d_k, link.pair.d_kt):
+        coeff = math.pi * lambda_b * omega * d * d
+        got_phi = outage._interference_phi(omega, d, params)
+        want_phi = _complex_interference_phi(omega, d, params)
+        for s in points:
+            got, want = got_phi(s), want_phi(s)
+            tol = 16 * np.finfo(float).eps * (1.0 + coeff * np.abs(s) ** p)
+            assert got.shape == s.shape
+            assert np.all(np.abs(got - want) <= tol * np.abs(want) + 1e-290)
+
+
+def test_interference_free_network_has_no_factor():
+    params = NetworkParams(lambda_b=0.0)
+    assert outage._interference_phi(1.3, 50.0, params) is None
 
 
 @pytest.mark.parametrize("K, M, N", [(2, 3, 2), (3, 4, 3)])
