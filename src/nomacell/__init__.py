@@ -1,9 +1,8 @@
 """Outage analysis, Monte Carlo validation and precoder design for
 MIMO-NOMA small-cell networks with imperfect channel knowledge."""
 
-from .asymptotic import (RateThresholds, chernoff_far_bound, chernoff_near_bound,
-                         optimize_chernoff_far, optimize_chernoff_near,
-                         rate_thresholds)
+from .asymptotic import (RateThresholds, optimize_chernoff_far,
+                         optimize_chernoff_near, rate_thresholds)
 from .design import (LinearDesign, PairLink, RateSolution, alignment_nullspace,
                      baseline_goodput, build_precoder, choose_receiver_combining,
                      maximize_goodput)

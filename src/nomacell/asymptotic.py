@@ -19,8 +19,6 @@ from .outage import EffectiveChannel, _far_stage, _near_abscissae, \
 
 __all__ = [
     "RateThresholds",
-    "chernoff_far_bound",
-    "chernoff_near_bound",
     "optimize_chernoff_far",
     "optimize_chernoff_near",
     "rate_thresholds",
@@ -72,33 +70,12 @@ def _chernoff(eff: EffectiveChannel, stages):
     return bound, s_sup
 
 
-def _far_bound_stages(eff: EffectiveChannel, pair: PairConfig,
-                      params: NetworkParams):
-    return (_far_stage(eff, pair, eff.noise(pair.d_kt, params)),)
-
-
-def _near_bound_stages(eff: EffectiveChannel, pair: PairConfig,
-                       params: NetworkParams):
+def _bound_stages(eff: EffectiveChannel, pair: PairConfig,
+                  params: NetworkParams, far: bool):
+    if far:
+        return (_far_stage(eff, pair, eff.noise(pair.d_kt, params)),)
     thetas = _near_abscissae(eff, pair, eff.noise(pair.d_k, params))
     return _near_stages(eff, pair, *thetas)
-
-
-def chernoff_far_bound(eff: EffectiveChannel, pair: PairConfig,
-                       params: NetworkParams, s_bar: float) -> float:
-    """Chernoff upper bound on the far-user conditional outage at lambda_b=0.
-
-    `s_bar` is the normalized exponent parameter, admissible on
-    (0, 1 / max_i upsilon_i).
-    """
-    bound, _ = _chernoff(eff, _far_bound_stages(eff, pair, params))
-    return bound(s_bar)
-
-
-def chernoff_near_bound(eff: EffectiveChannel, pair: PairConfig,
-                        params: NetworkParams, s_hat: float) -> float:
-    """Chernoff + union upper bound on the near-user conditional outage."""
-    bound, _ = _chernoff(eff, _near_bound_stages(eff, pair, params))
-    return bound(s_hat)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
@@ -138,13 +115,13 @@ def _optimize(eff: EffectiveChannel, stages) -> tuple[float, float]:
 def optimize_chernoff_far(eff: EffectiveChannel, pair: PairConfig,
                           params: NetworkParams) -> tuple[float, float]:
     """Minimize the far-user Chernoff bound; returns (bound, s_bar)."""
-    return _optimize(eff, _far_bound_stages(eff, pair, params))
+    return _optimize(eff, _bound_stages(eff, pair, params, True))
 
 
 def optimize_chernoff_near(eff: EffectiveChannel, pair: PairConfig,
                            params: NetworkParams) -> tuple[float, float]:
     """Minimize the near-user Chernoff bound; returns (bound, s_hat)."""
-    return _optimize(eff, _near_bound_stages(eff, pair, params))
+    return _optimize(eff, _bound_stages(eff, pair, params, False))
 
 
 def rate_thresholds(eff_far: EffectiveChannel, eff_near: EffectiveChannel,

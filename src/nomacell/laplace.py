@@ -14,18 +14,17 @@ are computed once per averaging order.  Both kernels treat
 the transform as a black box evaluated on vertical contours with Re > 0,
 so fractional powers s**(2/alpha) stay on the principal branch.
 
-A 2D transform may carry a factor of u = s + t alone (the interference
-factor of the outage transforms), passed apart from the rest.
-Its periods then keep T1 / T2 an integer power of 2, so that on the grid
+A 2D transform may depend on u = s + t through a factor of its own (the
+interference factor of the outage transforms).  Its periods then keep
+T1 / T2 an integer power of 2, so that on the grid
 Im u = pi (l1 / T1 + l2 / T2) = pi key / max(T1, T2) with the integer key
-l1 + (T1 / T2) l2, or its mirror (T2 / T1) l1 + l2: the factor is
-evaluated once per distinct key (289 to 1,633 keys for T1 / T2 from 1 to
-8, against 18,721 grid nodes at the defaults) instead of at every node
+l1 + (T1 / T2) l2, or its mirror (T2 / T1) l1 + l2, and the transform gets
+the lattice of distinct keys' u (289 to 1,633 keys for T1 / T2 from 1 to
+8, against 18,721 grid nodes at the defaults), so that it can evaluate
+its dependence on s + t once per key instead of at every node
 (Choudhury, Lucantoni & Whitt, Ann. Appl. Probab. 1994).  Key minus its
 least value is affine in the node indices, so a zero-copy strided view
-reads per-key values at the nodes without a gather.  A transform may go
-further with an `on_lattice` method that evaluates all of its dependence
-on s + t per key (the near user's joint transform does).
+reads per-key values at the nodes without a gather.
 """
 from __future__ import annotations
 
@@ -234,76 +233,68 @@ def epsilon_accelerate(partial_sums):
     return value
 
 
-def _transform_grid(transform, phi, periods, cfg: Inversion2DConfig
-                    ) -> np.ndarray:
-    """Transform values on the (s, t) contour grid of the periods.
+def _contour(periods, cfg: Inversion2DConfig):
+    """(s, t): the contour grid of the periods, a column of s values and a
+    row of t values."""
+    T1, T2, c1, c2 = periods
+    n_max = cfg.L + 2 * cfg.p_eps
+    return (c1 + 1j * math.pi * np.arange(0, n_max + 1)[:, None] / T1,
+            c2 + 1j * math.pi * np.arange(-n_max, n_max + 1)[None, :] / T2)
 
-    With `phi` the factor of u = s + t is evaluated once per integer key
-    of the lattice Im u = pi key / max(T1, T2), on the dense key range,
-    and read at the nodes through a strided view of the per-key values
-    (`view`).  A transform with an `on_lattice` method gets the keys'
-    u, the factor there and the view maker, and builds the grid itself
-    from its own per-key values, unless the keys outnumber half the nodes;
-    the transform runs per node otherwise.  Where the key range outnumbers
-    the nodes, no two nodes share a key, and the factor too is evaluated
-    per node.
+
+def _lattice(periods, cfg: Inversion2DConfig):
+    """(size, make_u, view): the lattice of s + t on the contour grid of
+    the periods, whose T1 / T2 is an integer power of 2.
+
+    `make_u()` makes s + t once per integer key of
+    Im u = pi key / max(T1, T2), over the dense key range of `size` keys,
+    and `view(per_key)` reads an array over the keys at the grid's nodes.
+    Where the key range outnumbers the nodes, no two nodes share a key:
+    `make_u()` then makes s + t per node from the keys, and `view` reads
+    it in C order.  The values are made on call, so that a transform can
+    make them once its own temporaries are gone.
     """
     T1, T2, c1, c2 = periods
     n_max = cfg.L + 2 * cfg.p_eps
-    l1 = np.arange(0, n_max + 1)[:, None]
-    l2 = np.arange(-n_max, n_max + 1)[None, :]
-    s = c1 + 1j * math.pi * l1 / T1
-    t = c2 + 1j * math.pi * l2 / T2
-    shape = (l1.size, l2.size)
-    nodes = shape[0] * shape[1]
-    if phi is None:
-        F = np.asarray(transform(s, t), dtype=complex)
-    else:
-        # key - lo = steps[0] i + steps[1] j at grid index (i, j)
-        ratio = round(math.log2(T1 / T2))
-        steps, T = (((1, 2 ** ratio), T1) if ratio >= 0
-                    else ((2 ** -ratio, 1), T2))
-        lo, hi = -n_max * steps[1], n_max * (steps[0] + steps[1])
-        if hi - lo < nodes:
-            size = hi - lo + 1  # keys in the range
+    shape = (n_max + 1, 2 * n_max + 1)
+    # key - lo = steps[0] i + steps[1] j at grid index (i, j)
+    ratio = round(math.log2(T1 / T2))
+    steps, T = (((1, 2 ** ratio), T1) if ratio >= 0
+                else ((2 ** -ratio, 1), T2))
+    lo, hi = -n_max * steps[1], n_max * (steps[0] + steps[1])
+    per_node = hi - lo >= shape[0] * shape[1]
+    size, strides = ((shape[0] * shape[1], (shape[1], 1)) if per_node
+                     else (hi - lo + 1, steps))
 
-            def lattice_u():
-                return (c1 + c2) + 1j * math.pi * np.arange(lo, hi + 1) / T
+    def make_u():
+        keys = ((steps[0] * np.arange(0, n_max + 1)[:, None]
+                 + steps[1] * np.arange(-n_max, n_max + 1)[None, :]).ravel()
+                if per_node else np.arange(lo, hi + 1))
+        return (c1 + c2) + 1j * math.pi * keys / T
 
-            def view(per_key):
-                """Read-only grid view of per-key values, without a copy:
-                element (i, j) is per_key[steps[0] i + steps[1] j]."""
-                per_key = np.ascontiguousarray(per_key)
-                if per_key.shape != (size,):  # would read out of bounds
-                    raise ValueError(f"per-key values of shape {per_key.shape}"
-                                     f" for {size} lattice keys")
-                item = per_key.itemsize
-                return np.lib.stride_tricks.as_strided(
-                    per_key, shape, (steps[0] * item, steps[1] * item),
-                    writeable=False)
+    def view(per_key):
+        """Read-only grid view of per-key values, without a copy: element
+        (i, j) is per_key[strides[0] i + strides[1] j]."""
+        per_key = np.ascontiguousarray(per_key)
+        if per_key.shape != (size,):  # would read out of bounds
+            raise ValueError(f"per-key values of shape {per_key.shape}"
+                             f" for {size} lattice keys")
+        item = per_key.itemsize
+        return np.lib.stride_tricks.as_strided(
+            per_key, shape, (strides[0] * item, strides[1] * item),
+            writeable=False)
 
-            # A key costs the near user's `on_lattice` about what a node
-            # costs its per-node form, and a node about half that: at
-            # 6,241 keys per 18,721 nodes it took 23-26% less time, at
-            # 12,385 0-21% more.
-            on_lattice = getattr(transform, "on_lattice", None)
-            if on_lattice is not None and 2 * size <= nodes:
-                u = lattice_u()
-                F = on_lattice(s, t, u, phi(u), view)
-            else:
-                # The right operand, keys and factor, is made after the
-                # transform, whose temporaries are gone by then.  It is a
-                # view, so numpy may write the product only into the left
-                # operand, and it runs in the written operand order (a
-                # vectorized complex product rounds differently in the
-                # other).
-                F = (np.asarray(transform(s, t), dtype=complex)
-                     * view(phi(lattice_u())))
-        else:  # the same, with the factor per node
-            F = (np.asarray(transform(s, t), dtype=complex)
-                 * phi((c1 + c2) + 1j * math.pi
-                       * (steps[0] * l1 + steps[1] * l2).ravel() / T
-                       ).reshape(shape))
+    return size, make_u, view
+
+
+def _transform_grid(transform, periods, cfg: Inversion2DConfig,
+                    lattice: bool = False) -> np.ndarray:
+    """Transform values on the contour grid of the periods (`_contour`);
+    with `lattice` the transform also gets the grid's s + t lattice
+    (`_lattice`) as its `lattice` keyword."""
+    s, t = _contour(periods, cfg)
+    F = np.asarray(transform(s, t, lattice=_lattice(periods, cfg))
+                   if lattice else transform(s, t), dtype=complex)
     if not np.all(np.isfinite(F)):
         raise FloatingPointError("transform returned non-finite values on the contour")
     return F
@@ -352,18 +343,17 @@ _MAX_GRIDS = 8
 
 def invert_2d(transform, theta1: float, theta2: float,
               config: Inversion2DConfig | None = None,
-              grids: dict | None = None, phi=None) -> float:
+              grids: dict | None = None, lattice: bool = False) -> float:
     """Invert a 2D Laplace transform at (theta1, theta2), both > 0.
 
     `transform` is called once with broadcastable complex grids (column of
     s values, row of t values) and must return the elementwise transform.
-    `phi`, for a transform with a factor phi(s + t), maps a 1D array of
-    u = s + t to that factor; the grid is then transform * phi(s + t), and
-    the periods follow the lattice rule (see `Inversion2DConfig`).  Such a
-    transform may also have a method `on_lattice(s, t, u, factor, view)`
-    that returns the whole grid, factor included, from the lattice keys'
-    u = s + t and factor values; `view(per_key)` reads an array over the
-    keys at the grid's nodes, without a copy.
+    With `lattice`, for a transform with a factor of s + t, the periods
+    follow the lattice rule (see `Inversion2DConfig`) and the call is
+    `transform(s, t, lattice=(size, make_u, view))`: `make_u()` makes the
+    `size` distinct values of s + t on the grid, and `view(per_key)` reads
+    an array over them at the grid's nodes, without a copy (see
+    `_lattice`).
     Tail sums over both indices are extrapolated with the epsilon
     algorithm using 2 * p_eps + 1 partial sums: one batched call for every
     row's inner sum, one for the outer sum.
@@ -378,12 +368,12 @@ def invert_2d(transform, theta1: float, theta2: float,
     if theta1 <= 0 or theta2 <= 0:
         raise ValueError("inversion abscissae must be positive")
     cfg = config or Inversion2DConfig()
-    periods = cfg.resolve(theta1, theta2, lattice=phi is not None)
+    periods = cfg.resolve(theta1, theta2, lattice)
     grids = {} if grids is None else grids
     key = (cfg.L, cfg.p_eps, *periods)
     F = grids.pop(key, None)
     if F is None:
-        F = _transform_grid(transform, phi, periods, cfg)
+        F = _transform_grid(transform, periods, cfg, lattice)
         F.flags.writeable = False  # shared by every later inversion
     grids[key] = F
     while len(grids) > _MAX_GRIDS:

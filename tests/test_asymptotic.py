@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from nomacell import (NetworkParams, PairConfig, build_scenario,
-                      chernoff_far_bound, chernoff_near_bound,
                       far_outage_conditional, near_outage_conditional_exact,
                       optimize_chernoff_far, optimize_chernoff_near,
                       rate_thresholds)
 from nomacell import asymptotic
 
 FREE = NetworkParams(lambda_b=0.0)
+
+
+def _bound(eff, pair, params, s, far):
+    """The far user's Chernoff bound, or the near user's Chernoff + union
+    bound, at the normalized parameter s."""
+    bound, _ = asymptotic._chernoff(
+        eff, asymptotic._bound_stages(eff, pair, params, far))
+    return bound(s)
 
 
 @pytest.fixture(scope="module")
@@ -54,22 +61,22 @@ class TestChernoffBounds:
     def test_trivial_limit_is_two(self, free_link):
         ups_max = (free_link.eff_near.delta / free_link.eff_near.sigma_h2).max()
         tiny = 1e-12 / ups_max
-        val = chernoff_near_bound(free_link.eff_near, free_link.pair, FREE, tiny)
+        val = _bound(free_link.eff_near, free_link.pair, FREE, tiny, False)
         assert val == pytest.approx(2.0, abs=1e-6)
 
     def test_rejects_out_of_range_parameter(self, free_link):
         ups_max = (free_link.eff_far.delta / free_link.eff_far.sigma_h2).max()
         with pytest.raises(ValueError):
-            chernoff_far_bound(free_link.eff_far, free_link.pair, FREE,
-                               1.5 / ups_max)
+            _bound(free_link.eff_far, free_link.pair, FREE, 1.5 / ups_max,
+                   True)
         with pytest.raises(ValueError):
-            chernoff_far_bound(free_link.eff_far, free_link.pair, FREE, 0.0)
+            _bound(free_link.eff_far, free_link.pair, FREE, 0.0, True)
 
     def test_golden_section_matches_dense_grid(self, free_link):
         pair = free_link.pair.with_rates(R_k=3.0, R_kt=1.5)
         ups_max = (free_link.eff_far.delta / free_link.eff_far.sigma_h2).max()
         s_grid = np.linspace(1e-6, 1 - 1e-6, 20001) / ups_max
-        dense = min(chernoff_far_bound(free_link.eff_far, pair, FREE, s)
+        dense = min(_bound(free_link.eff_far, pair, FREE, s, True)
                     for s in s_grid)
         opt, _ = optimize_chernoff_far(free_link.eff_far, pair, FREE)
         assert opt <= dense + 1e-8
@@ -77,22 +84,20 @@ class TestChernoffBounds:
 
     @pytest.mark.parametrize("k_db", [10.0, 20.0, 30.0, 40.0])
     @pytest.mark.parametrize("seed", [1, 2, 20240717])
-    def test_optimizers_match_a_search_over_the_public_bounds(self, seed,
-                                                              k_db):
+    def test_optimizers_match_a_search_over_fresh_bounds(self, seed, k_db):
         # the optimizers compute the eigenvalues and projected means once
-        # per search; a golden search that calls the public bound at every
+        # per search; a golden search that builds the bound afresh at every
         # step finds the same (bound, s), bit for bit
         link = build_scenario(FREE, PairConfig(), k_factor_db=k_db,
                               seed=seed).link(1)
         for r in (0.5, 1.0, 1.5):
             pair = link.pair.with_rates(R_k=2 * r, R_kt=r)
-            for optimize, bound, eff in (
-                    (optimize_chernoff_far, chernoff_far_bound, link.eff_far),
-                    (optimize_chernoff_near, chernoff_near_bound,
-                     link.eff_near)):
+            for optimize, far, eff in (
+                    (optimize_chernoff_far, True, link.eff_far),
+                    (optimize_chernoff_near, False, link.eff_near)):
                 s_sup = 1.0 / (eff.delta / eff.sigma_h2).max()
                 s, val = asymptotic._golden_min(
-                    lambda x: bound(eff, pair, FREE, x), 1e-6 * s_sup,
+                    lambda x: _bound(eff, pair, FREE, x, far), 1e-6 * s_sup,
                     (1.0 - 1e-6) * s_sup)
                 got = optimize(eff, pair, FREE)
                 assert (got[0].hex(), got[1].hex()) == (val.hex(), s.hex())

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nomacell import (NetworkParams, PairConfig, alignment_nullspace,
-                      baseline_goodput, build_precoder, build_scenario,
-                      choose_receiver_combining, far_outage_conditional,
-                      maximize_goodput, near_outage_conditional_approx,
+from nomacell import (Inversion1DConfig, NetworkParams, PairConfig,
+                      alignment_nullspace, baseline_goodput, build_precoder,
+                      build_scenario, choose_receiver_combining,
+                      far_outage_conditional, maximize_goodput,
+                      near_outage_conditional_approx,
                       near_outage_conditional_exact)
 from nomacell import design, laplace, outage
 from nomacell.design import _bisect_rate_cap, _single_stream_goodput
@@ -502,15 +503,10 @@ def test_reused_grids_match_fresh_evaluations(monkeypatch, scheme):
     def counting(*args):
         F = joint(*args)
 
-        def grid(s, t):
+        def grid(s, t, **lattice):
             built.append(s.shape)
-            return F(s, t)
+            return F(s, t, **lattice)
 
-        def on_lattice(s, t, *per_key):
-            built.append(s.shape)
-            return F.on_lattice(s, t, *per_key)
-
-        grid.on_lattice = on_lattice
         return grid
 
     monkeypatch.setattr(outage, "_near_joint_transform", counting)
@@ -603,3 +599,21 @@ class TestBaselines:
     def test_unknown_scheme_rejected(self, table_scenario, table_params):
         with pytest.raises(ValueError):
             baseline_goodput("tdma", table_scenario.link(1), 0.1, table_params)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the far cap search trusts Euler at the default order, which reads a"
+    " raw p_far of -0.014 on this link; an order ladder (ROADMAP item 16)"
+    " has to mend it"))
+def test_design_meets_epsilon_at_a_high_euler_order():
+    # at the default lambda_b the returned rates give p_far = 0.0202 at
+    # Euler (40, 200) against epsilon = 0.01 (400,000 Monte Carlo trials,
+    # seed 5: 0.02020 +- 0.00022), while the optimizer reports p_far = 0
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=954, scheme="plain").link(1)
+    sol = maximize_goodput(link, 1e-2, params)
+    res = far_outage_conditional(link.eff_far,
+                                 link.pair.with_rates(sol.R_k, sol.R_kt),
+                                 params, Inversion1DConfig(m_euler=40, q=200))
+    assert res.raw <= 1e-2 + 1e-4

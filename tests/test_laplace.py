@@ -312,15 +312,17 @@ class TestSumGrid:
             grids = [F]
             if lambda_b > 0:
                 # the same periods built node by node, without the
-                # transform's lattice form
+                # transform's per-key form
                 key = (id(link), periods)
                 if key not in per_node_grids:
-                    joint = outage._near_joint_transform(link.eff_near,
-                                                         link.pair)
                     _, phi = outage._user_law(link.eff_near, link.pair,
                                               params, False)
-                    per_node_grids[key] = laplace._transform_grid(
-                        lambda s, t: joint(s, t), phi, periods, cfg)
+                    form = outage._near_joint_transform(link.eff_near,
+                                                        link.pair, None)
+                    _, make_u, view = laplace._lattice(periods, cfg)
+                    per_node_grids[key] = (
+                        form(*laplace._contour(periods, cfg))
+                        * view(phi(make_u())))
                 grids.append(per_node_grids[key])
             for grid in grids:
                 got = laplace._sum_grid(grid, theta1, theta2, periods, cfg)
@@ -361,13 +363,18 @@ def _factor(u):
     return np.exp(-0.4 * u ** 0.5)
 
 
-def _node_grid(periods, cfg):
-    """(s, t) broadcast grids of `invert_2d` at the periods."""
-    T1, T2, c1, c2 = periods
-    n_max = cfg.L + 2 * cfg.p_eps
-    s = c1 + 1j * math.pi * np.arange(0, n_max + 1)[:, None] / T1
-    t = c2 + 1j * math.pi * np.arange(-n_max, n_max + 1)[None, :] / T2
-    return s, t
+@pytest.fixture(scope="module")
+def lattice_link():
+    """The fig7 link at 20 dB and default parameters, its near user's
+    interference factor, joint transform and the transform's form without
+    the factor."""
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717).link(1)
+    _, phi = outage._user_law(link.eff_near, link.pair, params, False)
+    return (link, phi,
+            outage._near_joint_transform(link.eff_near, link.pair, phi),
+            outage._near_joint_transform(link.eff_near, link.pair, None))
 
 
 class TestFactorLattice:
@@ -378,16 +385,23 @@ class TestFactorLattice:
               (256.0, 1.0, 18721)]
 
     @pytest.mark.parametrize("theta1, theta2, keys", POINTS)
-    def test_factor_runs_once_per_distinct_key(self, theta1, theta2, keys):
+    def test_factor_runs_once_per_distinct_key(self, lattice_link, theta1,
+                                               theta2, keys):
+        cfg = Inversion2DConfig()
+        periods = cfg.resolve(theta1, theta2, lattice=True)
+        size, make_u, view = laplace._lattice(periods, cfg)
+        assert size == keys and make_u().shape == (keys,)
+        assert view(_factor(make_u())).shape == (97, 193)
+        # the near user's transform asks for its factor there, once
+        link, phi, _, _ = lattice_link
         seen = []
 
         def counting(u):
             seen.append(u.shape)
-            return _factor(u)
+            return phi(u)
 
-        cfg = Inversion2DConfig()
-        periods = cfg.resolve(theta1, theta2, lattice=True)
-        grid = laplace._transform_grid(_coupled_form, counting, periods, cfg)
+        F = outage._near_joint_transform(link.eff_near, link.pair, counting)
+        grid = laplace._transform_grid(F, periods, cfg, lattice=True)
         assert seen == [(keys,)]
         assert keys <= grid.size == 97 * 193
 
@@ -397,21 +411,27 @@ class TestFactorLattice:
         # grids differ by about 1e-16 |log phi| relative (2e-15 measured)
         cfg = Inversion2DConfig()
         periods = cfg.resolve(theta1, theta2, lattice=True)
-        grid = laplace._transform_grid(_coupled_form, _factor, periods, cfg)
-        s, t = _node_grid(periods, cfg)
+        _, make_u, view = laplace._lattice(periods, cfg)
+        s, t = laplace._contour(periods, cfg)
+        grid = _coupled_form(s, t) * view(_factor(make_u()))
         want = _coupled_form(s, t) * _factor(s + t)
         np.testing.assert_allclose(grid, want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("theta1, theta2", [p[:2] for p in POINTS])
-    def test_lattice_product_runs_in_the_written_order(self, theta1, theta2):
+    @pytest.mark.parametrize("theta1, theta2", [(64.0, 1.0), (256.0, 1.0)])
+    def test_lattice_product_runs_in_the_written_order(self, lattice_link,
+                                                       theta1, theta2):
         # a grid over 256 KiB (L + 2 p_eps >= 90), where numpy may write a
-        # product into a temporary operand: the factor's view is none, so
-        # the product keeps the bits of transform * gathered factor
+        # product into a temporary operand, on the lattices where the near
+        # user's transform runs its per-node loop (12,385 keys at
+        # T1 / T2 = 64, one key per node at 256): the factor multiplies the
+        # loop's grid in place, so the product keeps the bits of
+        # form * gathered factor
+        link, phi, F, form = lattice_link
         cfg = Inversion2DConfig()
         assert 97 * 193 * 16 > 256 * 1024
         T1, T2, c1, c2 = periods = cfg.resolve(theta1, theta2, lattice=True)
-        grid = laplace._transform_grid(_coupled_form, _factor, periods, cfg)
-        s, t = _node_grid(periods, cfg)
+        grid = laplace._transform_grid(F, periods, cfg, lattice=True)
+        s, t = laplace._contour(periods, cfg)
         l1 = np.arange(0, 97)[:, None]
         l2 = np.arange(-96, 97)[None, :]
         ratio = round(math.log2(T1 / T2))
@@ -422,13 +442,12 @@ class TestFactorLattice:
         lo, hi = key.min(), key.max()
         if hi - lo < key.size:
             keys = np.arange(lo, hi + 1)
-            gathered = _factor((c1 + c2) + 1j * math.pi * keys / T)[key - lo]
+            gathered = phi((c1 + c2) + 1j * math.pi * keys / T)[key - lo]
         else:
             keys = key.ravel()
-            gathered = _factor((c1 + c2) + 1j * math.pi * keys / T
-                               ).reshape(key.shape)
-        form = _coupled_form(s, t)
-        want = form * gathered
+            gathered = phi((c1 + c2) + 1j * math.pi * keys / T
+                           ).reshape(key.shape)
+        want = form(s, t) * gathered
         assert grid.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("factor", [lambda u: 0.5,
@@ -438,8 +457,9 @@ class TestFactorLattice:
         # reach past the per-key values
         cfg = Inversion2DConfig()
         periods = cfg.resolve(8.0, 1.0, lattice=True)
+        _, make_u, view = laplace._lattice(periods, cfg)
         with pytest.raises(ValueError, match="lattice keys"):
-            laplace._transform_grid(_coupled_form, factor, periods, cfg)
+            view(factor(make_u()))
 
     def test_constant_factor_keeps_the_plain_ladder(self):
         # an odd rung difference, which the lattice rule would raise: a
@@ -468,14 +488,14 @@ class TestFactorLattice:
         calls = []
 
         def recording(transform, theta1, theta2, config=None, grids=None,
-                      phi=None):
-            calls.append((theta1, theta2, phi, grids))
-            return invert_2d(transform, theta1, theta2, config, grids, phi)
+                      lattice=False):
+            calls.append((theta1, theta2, lattice, grids))
+            return invert_2d(transform, theta1, theta2, config, grids, lattice)
 
         monkeypatch.setattr(outage, "invert_2d", recording)
         got = near_outage_conditional_exact(link.eff_near, link.pair, params)
-        (theta1, theta2, phi, grids), = calls
-        assert phi is None
+        (theta1, theta2, lattice, grids), = calls
+        assert lattice is False
         cfg = Inversion2DConfig()
         assert [key[2:] for key in grids] == [cfg.resolve(theta1, theta2)]
         assert cfg.resolve(theta1, theta2) != cfg.resolve(theta1, theta2,

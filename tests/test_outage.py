@@ -11,7 +11,8 @@ from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
                       Inversion2DConfig, NetworkParams, PairConfig, build_scenario,
                       effective_channel, exponential_covariance,
                       far_outage_average,
-                      far_outage_conditional, invert_1d, near_outage_average,
+                      far_outage_conditional, invert_1d, invert_2d,
+                      near_outage_average,
                       near_outage_conditional_approx, near_outage_conditional_exact,
                       sample_channel_matrix, single_stream_outage_conditional)
 from nomacell import laplace, outage
@@ -572,32 +573,35 @@ def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
     # on the grids invert_2d builds, for every pair (so the own stream is
     # not always the first) and on the average's periods.  Without
     # interference the per-node loop runs and matches the plain loop to
-    # rounding (their exps differ); with it the lattice form runs, and
+    # rounding (their exps differ); with it the per-key form runs, and
     # matches the plain loop times the per-key factor to rounding.  Both
-    # match the broadcast form to rounding.
+    # match the broadcast form to rounding.  The per-key form is told from
+    # the per-node loop times the factor by its bits, which differ.
     params = NetworkParams(lambda_b=lambda_b, K=K, M=M, N=N)
     sc = build_scenario(params, PairConfig(R_k=1.0, R_kt=0.5), seed=20240717,
                         k_factor_db=kdb, policy=_RANDOM)
     joint, grids = outage._near_joint_transform, []
 
-    def recording(eff, pair):
-        F = joint(eff, pair)
+    def recording(eff, pair, phi):
+        F, form = joint(eff, pair, phi), joint(eff, pair, None)
         loop, ref = (_joint_transform_reference(eff, pair),
                      _broadcast_joint_transform(eff, pair))
 
-        def per_node(s, t):
-            got = F(s, t)
-            grids.append(("per_node", got, loop(s, t), ref(s, t)))
+        def transform(s, t, lattice=None):
+            got = F(s, t, lattice=lattice)
+            if lattice is None:
+                grids.append(("per_node", got, loop(s, t), ref(s, t)))
+            else:
+                _, make_u, view = lattice
+                factor = view(phi(make_u()))
+                path = ("per_node_factor"
+                        if got.tobytes() == (form(s, t) * factor).tobytes()
+                        else "lattice")
+                grids.append((path, got, loop(s, t) * factor,
+                              ref(s, t) * factor))
             return got
 
-        def on_lattice(s, t, u, factor, view):
-            got = F.on_lattice(s, t, u, factor, view)
-            grids.append(("lattice", got, loop(s, t) * view(factor),
-                          ref(s, t) * view(factor)))
-            return got
-
-        per_node.on_lattice = on_lattice
-        return per_node
+        return transform
 
     monkeypatch.setattr(outage, "_near_joint_transform", recording)
     for link in sc.links[:1] if average else sc.links:
@@ -645,9 +649,7 @@ def _factor_points():
     for theta in ((1.0, 1.0), (8.0, 1.0), (1.0, 8.0), (64.0, 1.0),
                   (256.0, 1.0)):
         periods = cfg.resolve(*theta, lattice=True)
-        laplace._transform_grid(
-            lambda s, t: np.ones(np.broadcast_shapes(s.shape, t.shape),
-                                 complex), recording, periods, cfg)
+        points.append(laplace._lattice(periods, cfg)[1]())
     return tuple(points)
 
 
@@ -694,18 +696,17 @@ def test_lattice_form_matches_per_node_form_times_factor(K, M, N, kdb,
     cfg = Inversion2DConfig()
     for link in sc.links:
         eff, pair = link.eff_near, link.pair
-        F = outage._near_joint_transform(eff, pair)
-
-        def per_node(s, t):  # the same transform without its lattice form
-            return F(s, t)
-
         _, phi = outage._user_law(eff, pair, params, False)
+        F = outage._near_joint_transform(eff, pair, phi)
+        form = outage._near_joint_transform(eff, pair, None)
         for ratio in range(-2, 6):
             periods = cfg.resolve(2.0 ** max(ratio, 0), 2.0 ** max(-ratio, 0),
                                   lattice=True)
             assert round(math.log2(periods[0] / periods[1])) == ratio
-            got = laplace._transform_grid(F, phi, periods, cfg)
-            want = laplace._transform_grid(per_node, phi, periods, cfg)
+            got = laplace._transform_grid(F, periods, cfg, lattice=True)
+            # the per-node loop times the per-key factor
+            _, make_u, view = laplace._lattice(periods, cfg)
+            want = form(*laplace._contour(periods, cfg)) * view(phi(make_u()))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -728,26 +729,93 @@ def test_fresh_near_exact_evaluation_peaks_below_five_grids():
     assert peak <= 5 * 97 * 193 * 16
 
 
-def test_per_node_grid_peaks_with_its_transform():
-    # at T1 / T2 = 2^6 (12,385 keys) the lattice form does not pay and the
-    # per-node loop builds the grid; the keys and the factor are made
-    # after the loop's temporaries are gone, so the grid peaks within a
-    # quarter grid of the loop alone (the other order: 1 grid above it)
+@pytest.mark.parametrize("theta1, keys", [(64.0, 12385), (256.0, 18721)])
+def test_per_node_grid_peaks_with_its_transform(theta1, keys):
+    # at T1 / T2 = 2^6 (12,385 keys) the per-key form does not pay, and at
+    # 2^8 each node has a key of its own: the per-node loop builds the
+    # grid, and the lattice and the factor are made after the loop's
+    # temporaries are gone, so the grid peaks within a quarter grid of the
+    # loop alone (the other order: 1 grid above it)
     params = NetworkParams()
     link = build_scenario(params, PairConfig()).link(1)
-    F = outage._near_joint_transform(link.eff_near, link.pair)
     _, phi = outage._user_law(link.eff_near, link.pair, params, False)
+    F = outage._near_joint_transform(link.eff_near, link.pair, phi)
+    form = outage._near_joint_transform(link.eff_near, link.pair, None)
     cfg = Inversion2DConfig()
-    T1, T2, c1, c2 = periods = cfg.resolve(64.0, 1.0, lattice=True)
-    s = c1 + 1j * math.pi * np.arange(97)[:, None] / T1
-    t = c2 + 1j * math.pi * np.arange(-96, 97)[None, :] / T2
+    periods = cfg.resolve(theta1, 1.0, lattice=True)
+    assert laplace._lattice(periods, cfg)[0] == keys
+    s, t = laplace._contour(periods, cfg)
     tracemalloc.start()
     try:
-        F(s, t)
+        form(s, t)
         _, alone = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        laplace._transform_grid(F, phi, periods, cfg)
+        laplace._transform_grid(F, periods, cfg, lattice=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= alone + 0.25 * 97 * 193 * 16
+
+
+def test_near_transform_with_a_factor_needs_the_lattice():
+    # without the lattice it could only leave its factor out
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig()).link(1)
+    _, phi = outage._user_law(link.eff_near, link.pair, params, False)
+    F = outage._near_joint_transform(link.eff_near, link.pair, phi)
+    periods = Inversion2DConfig().resolve(8.0, 1.0, lattice=True)
+    with pytest.raises(ValueError, match="lattice"):
+        F(*laplace._contour(periods, Inversion2DConfig()))
+
+
+def _forwarding(factory):
+    """`factory` whose transforms come wrapped in a plain function that
+    forwards every argument, as a tracer wraps them."""
+    def make(*args):
+        F = factory(*args)
+        return lambda *a, **k: F(*a, **k)
+
+    return make
+
+
+@pytest.mark.parametrize("lambda_b, policy", [(1e-7, None), (1e-5, None),
+                                              (1e-5, _RANDOM)])
+def test_forwarded_near_transform_keeps_its_bits(monkeypatch, lambda_b,
+                                                 policy):
+    # conditional links and a `near_outage_average` transform: behind a
+    # forwarding wrapper the transform still gets the s + t lattice, so the
+    # values and the stored grids keep their bits
+    params = NetworkParams(lambda_b=lambda_b)
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717).link(1)
+
+    def evaluate():
+        joint = outage._NearJoint(link.eff_near, link.pair, params,
+                                  policy=policy)
+        raws = [joint(2 * r, r).raw.hex() for r in (0.25, 0.5, 1.0)]
+        return raws, [(key, grid.tobytes())
+                      for key, grid in joint.grids.items()]
+
+    plain = evaluate()
+    assert plain[1]
+    monkeypatch.setattr(outage, "_near_joint_transform",
+                        _forwarding(outage._near_joint_transform))
+    assert evaluate() == plain
+
+
+@pytest.mark.parametrize("theta1", [8.0, 64.0, 256.0])
+def test_forwarded_near_transform_keeps_its_lattice_bits(theta1):
+    # T1 / T2 = 8 (1,633 keys: the per-key form), 64 (12,385 keys: the
+    # per-node loop times the per-key factor) and 256 (one key per node)
+    params = NetworkParams()
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
+                          seed=20240717).link(1)
+    _, phi = outage._user_law(link.eff_near, link.pair, params, False)
+    F = outage._near_joint_transform(link.eff_near, link.pair, phi)
+    runs = []
+    for transform in (F, _forwarding(lambda: F)()):
+        grids = {}
+        value = invert_2d(transform, theta1, 1.0, grids=grids, lattice=True)
+        runs.append((value.hex(), [(key, grid.tobytes())
+                                   for key, grid in grids.items()]))
+    assert runs[0] == runs[1]
