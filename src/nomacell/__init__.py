@@ -4,10 +4,8 @@ MIMO-NOMA small-cell networks with imperfect channel knowledge."""
 from .asymptotic import (RateThresholds, optimize_chernoff_far,
                          optimize_chernoff_near, rate_thresholds)
 from .design import (LinearDesign, PairLink, RateSolution, alignment_nullspace,
-                     baseline_goodput, build_precoder, choose_receiver_combining,
-                     maximize_goodput)
-from .geometry import (GroupingPolicy, distance_mixture, interference_coefficient,
-                       policy_laplace_factor, sample_serving_distances)
+                     baseline_goodput, build_precoder, maximize_goodput)
+from .geometry import GroupingPolicy, policy_laplace_factor
 from .laplace import (Inversion1DConfig, Inversion2DConfig, epsilon_accelerate,
                       invert_1d, invert_2d)
 from .model import (ChannelEstimate, NetworkParams, PairConfig, channel_k_factor,

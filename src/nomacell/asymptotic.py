@@ -51,21 +51,24 @@ def _chernoff(eff: EffectiveChannel, stages):
     supremum of its admissible interval (0, 1 / max_i upsilon_i).
 
     The eigenvalues and each stage's projected mean do not depend on s and
-    are computed here, once.
+    are computed here, once, as Python floats: the bound takes a handful
+    of terms per call, where numpy's per-call overhead would dominate.
     """
-    ups = _normalized_eigs(eff)
-    s_sup = 1.0 / ups.max() if ups.max() > 0 else math.inf
-    terms = [(tau, _projected_mean(eff, scale)) for scale, tau in stages]
+    ups = _normalized_eigs(eff).tolist()
+    s_sup = 1.0 / max(ups) if max(ups) > 0 else math.inf
+    terms = [(float(tau), list(zip(_projected_mean(eff, scale).tolist(), ups)))
+             for scale, tau in stages]
+    sigma_h2 = float(eff.sigma_h2)
 
     def bound(s: float) -> float:
         if not 0.0 < s < s_sup:
             raise ValueError(f"Chernoff parameter must lie in (0, {s_sup:.6g})")
-        log_pref = -np.sum(np.log1p(-s * ups))
+        log_pref = -sum(math.log1p(-s * u) for u in ups)
         total = 0.0
-        for tau, zeta2 in terms:
-            margin = tau + np.sum(zeta2 / (s * ups - 1.0))
-            total += np.exp(min(log_pref - s / eff.sigma_h2 * margin, 700.0))
-        return float(total)
+        for tau, pairs in terms:
+            margin = tau + sum(z / (s * u - 1.0) for z, u in pairs)
+            total += math.exp(min(log_pref - s / sigma_h2 * margin, 700.0))
+        return total
 
     return bound, s_sup
 

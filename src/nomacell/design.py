@@ -18,8 +18,8 @@ import numpy as np
 
 from .laplace import Inversion1DConfig
 from .model import NetworkParams, PairConfig
-from .outage import (EffectiveChannel, _NearJoint, far_outage_conditional,
-                     single_stream_outage_conditional)
+from .outage import (EffectiveChannel, _inv_snr_gap, _NearJoint,
+                     far_outage_conditional, single_stream_outage_conditional)
 # Neither is called here (`maximize_goodput` holds a grid-reusing evaluator
 # of the exact operator), but `perfbench/nomabench/tracing.py` patches every
 # outage site of this module by name.
@@ -31,7 +31,6 @@ __all__ = [
     "PairLink",
     "RateSolution",
     "alignment_nullspace",
-    "choose_receiver_combining",
     "build_precoder",
     "maximize_goodput",
     "baseline_goodput",
@@ -90,55 +89,57 @@ class RateSolution:
     feasible: bool = True
 
 
-def alignment_nullspace(H_near: np.ndarray, H_far: np.ndarray,
-                        L: np.ndarray) -> tuple[np.ndarray, bool]:
+def alignment_nullspace(A_near: np.ndarray,
+                        A_far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the stacked filter null space.
 
-    Returns (U, degenerate): U is 2N x (2N - K) with
-    ((H_near L)^H, -(H_far L)^H) U = 0; `degenerate` marks a rank-deficient
-    stacked channel whose null space is strictly larger.
+    `A_near` = H_near L and `A_far` = H_far L are the selected N x K
+    channels, or stacks of them over any leading axes.  Returns
+    (U, degenerate): U is 2N x (2N - K) per matrix with
+    (A_near^H, -A_far^H) U = 0; `degenerate` marks a rank-deficient stacked
+    channel whose null space is strictly larger.
     """
-    A = (H_near @ L).conj().T
-    B = (H_far @ L).conj().T
-    K, N = A.shape
+    N, K = A_near.shape[-2:]
     if K >= 2 * N:
         raise ValueError("need K < 2N for a nonempty alignment null space")
-    C = np.hstack([A, -B])
+    C = np.concatenate([A_near, -A_far], axis=-2).conj().swapaxes(-1, -2)
     _, sv, Vh = np.linalg.svd(C, full_matrices=True)
-    degenerate = bool(sv[-1] <= _NULL_TOL * max(sv[0], 1.0))
-    return Vh[K:, :].conj().T, degenerate
+    degenerate = sv[..., -1] <= _NULL_TOL * np.maximum(sv[..., 0], 1.0)
+    return Vh[..., K:, :].conj().swapaxes(-1, -2), degenerate
 
 
-def choose_receiver_combining(U: np.ndarray, H_near_L: np.ndarray) -> np.ndarray:
+def _choose_receiver_combining(U: np.ndarray,
+                               A_near: np.ndarray) -> np.ndarray:
     """Unit combining vector maximizing the effective channel magnitude.
 
     Takes the dominant right singular direction of the map from combining
-    weights to the shared effective channel.  A one-dimensional null space
+    weights to the shared effective channel, A_near^H U[:N], per matrix of
+    the stacks `U` and `A_near` = H_near L.  A one-dimensional null space
     forces z = 1; the choice is unique up to a phase, which does not affect
     any gain.
     """
-    dim = U.shape[1]
-    if dim == 1:
-        return np.ones(1, dtype=complex)
-    N = H_near_L.shape[0]
-    gain_map = H_near_L.conj().T @ U[:N, :]
-    _, _, Vh = np.linalg.svd(gain_map)
-    return Vh[0, :].conj()
+    if U.shape[-1] == 1:
+        return np.ones(U.shape[:-2] + (1,), dtype=complex)
+    N = A_near.shape[-2]
+    _, _, Vh = np.linalg.svd(A_near.conj().swapaxes(-1, -2) @ U[..., :N, :])
+    return Vh[..., 0, :].conj()
 
 
-def _selection_matrices(M: int, K: int):
-    """Antenna-selection candidates, one per K-subset of the M antennas.
+def _selection_columns(M: int, K: int) -> tuple[np.ndarray, bool]:
+    """Antenna-selection candidates as rows of column indices, one per
+    K-subset of the M antennas.
 
-    Reordering the columns of L only permutes the rows of G: the gains stay
-    and V changes by column phases.  Past `_MAX_ENUMERATION` subsets,
-    `_SUBSAMPLE` random ones are drawn from a fixed seed.
+    Candidate c selects L = I_M[:, cols[c]], so H L is the column gather
+    H[:, cols[c]].  Reordering the columns of L only permutes the rows of
+    G: the gains stay and V changes by column phases.  Past
+    `_MAX_ENUMERATION` subsets, `_SUBSAMPLE` random ones are drawn from a
+    fixed seed.
     """
     if math.comb(M, K) <= _MAX_ENUMERATION:
-        subsets = itertools.combinations(range(M), K)
-        return [np.eye(M)[:, list(c)] for c in subsets], False
+        return np.array(list(itertools.combinations(range(M), K))), False
     rng = np.random.default_rng(0)
     drawn = {tuple(sorted(rng.permutation(M)[:K])) for _ in range(_SUBSAMPLE)}
-    return [np.eye(M)[:, list(c)] for c in sorted(drawn)], True
+    return np.array(sorted(drawn)), True
 
 
 def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
@@ -146,52 +147,49 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
     """Select the antenna subset maximizing the smallest effective gain.
 
     `channels` lists one (H_near, H_far) known-part pair per NOMA pair.
-    Candidates with a singular aligned channel are discarded; ties resolve
-    to the lowest candidate index.
+    Every (candidate, pair) combination is scored in one stacked pass: one
+    null-space and one combining call over all of them.  Candidates with a
+    singular aligned channel are discarded; ties resolve to the lowest
+    candidate index.
     """
     K = len(channels)
     if K != params.K:
         raise ValueError("one channel pair per NOMA pair expected")
-    candidates, subsampled = _selection_matrices(params.M, K)
-    best = None
-    for L in candidates:
-        filters_n, filters_f, gs, degenerate = [], [], [], False
-        for H_near, H_far in channels:
-            U, deg = alignment_nullspace(H_near, H_far, L)
-            degenerate |= deg
-            z = choose_receiver_combining(U, H_near @ L)
-            stacked = U @ z
-            u_k, u_kt = stacked[:params.N], stacked[params.N:]
-            filters_n.append(u_k)
-            filters_f.append(u_kt)
-            gs.append((H_near @ L).conj().T @ u_k)
-        G = np.column_stack(gs)
-        sv = np.linalg.svd(G, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            continue
-        Ginv = np.linalg.inv(G)
-        W = (Ginv @ Ginv.conj().T).real
-        gamma = 1.0 / np.diag(W)
-        score = gamma.min()
-        if best is None or score > best[0]:
-            best = (score, L, np.array(filters_n), np.array(filters_f),
-                    G, gamma, degenerate)
-    if best is None:
+    cols, subsampled = _selection_columns(params.M, K)
+    # (candidate, pair, N, K) stacks of the selected channels H L
+    A_near, A_far = (np.moveaxis(np.array(side)[..., cols], 2, 0)
+                     for side in zip(*channels))
+    U, degenerate = alignment_nullspace(A_near, A_far)
+    z = _choose_receiver_combining(U, A_near)
+    stacked = (U @ z[..., None])[..., 0]
+    u_near, u_far = stacked[..., :params.N], stacked[..., params.N:]
+    # column k of G is pair k's effective channel (H_near L)^H u_k
+    G = (A_near.conj().swapaxes(-1, -2) @ u_near[..., None])[..., 0]
+    G = G.swapaxes(-1, -2)
+    sv = np.linalg.svd(G, compute_uv=False)
+    valid = np.flatnonzero(sv[:, -1] > 1e-12 * np.maximum(sv[:, 0], 1.0))
+    if valid.size == 0:
         raise ValueError("all antenna-selection candidates gave a singular "
                          "aligned channel")
-    score, L, u_near, u_far, G, gamma, degenerate = best
-    D = np.sqrt(gamma)
-    V = L @ (np.linalg.inv(G).conj().T * D)
+    Ginv = np.linalg.inv(G[valid])
+    gamma = 1.0 / np.diagonal((Ginv @ Ginv.conj().swapaxes(-1, -2)).real,
+                              axis1=-2, axis2=-1)
+    best = int(np.argmax(gamma.min(axis=-1)))
+    c = valid[best]
+    L = np.eye(params.M)[:, cols[c]]
+    V = L @ (Ginv[best].conj().T * np.sqrt(gamma[best]))
     flags = ()
     if subsampled:
         flags += ("selection_subsampled",)
-    if degenerate:
+    if degenerate[c].any():
         flags += ("degenerate_null_space",)
-    return LinearDesign(V=V, u_near=u_near, u_far=u_far, L=L, gamma=gamma,
-                        flags=flags)
+    # copies: a view would keep every candidate's stack alive
+    return LinearDesign(V=V, u_near=u_near[c].copy(), u_far=u_far[c].copy(),
+                        L=L, gamma=gamma[best].copy(), flags=flags)
 
 
-def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
+def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
+                     share: float = 1.0) -> float:
     """Largest rate in (0, hi] with p(rate) <= epsilon (p nondecreasing).
 
     ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2021) for the root of
@@ -199,9 +197,17 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
     regula-falsi step, truncated and projected so that the bracket after j
     steps is at most hi 2^(_ITP_N0 - j); a step onto a bracket end takes the
     midpoint.  Stops at a bracket within `_CAP_RTOL` of its upper end, or
-    after `_CAP_ITERS` evaluations below hi.  Returns hi, the largest rate
-    it evaluated with p <= epsilon, or 0 when it found none.
+    after `_CAP_ITERS` evaluations below hi.  Rates decode at R / `share`;
+    a probe whose threshold 2^(R / share) - 1 rounds to 0 decodes as rate
+    0 and gives way to the midpoint, and once the midpoint does too the
+    search ends.  Returns hi, the largest rate it evaluated with
+    p <= epsilon, or 0 when it found none.
     """
+    def as_zero(R):
+        return _inv_snr_gap(R / share) == math.inf
+
+    if as_zero(hi):
+        return 0.0
     g_b = p_of_rate(hi) - epsilon
     if g_b <= 0.0:
         return hi
@@ -217,9 +223,9 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float) -> float:
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
         r = hi * 2.0 ** (_ITP_N0 - j - 1) - 0.5 * width
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        if not a < x < b:
+        if not a < x < b or as_zero(x):
             x = mid
-        if x <= 0.0:
+        if as_zero(x):
             break
         g = p_of_rate(x) - epsilon
         if g <= 0.0:
@@ -344,7 +350,7 @@ def _single_stream_goodput(eff: EffectiveChannel, d: float, share: float,
     mu2, noise = eff.own_gain2, eff.noise(d, params)
     hard_cap = share * math.log2(1.0 + mu2 / noise) if noise > 0 else _RATE_MAX * share
     eps = min(epsilon, 1.0 - 1e-12)
-    cap = _bisect_rate_cap(p_of, eps, hard_cap)
+    cap = _bisect_rate_cap(p_of, eps, hard_cap, share)
     if cap <= 0.0:
         return 0.0, 0.0, 1.0
     (R,), g = _box_search(lambda x: (p_of(*x),), eps, (cap,), (cap,))

@@ -12,9 +12,6 @@ from .model import NetworkParams
 
 __all__ = [
     "GroupingPolicy",
-    "sample_serving_distances",
-    "interference_coefficient",
-    "distance_mixture",
     "policy_laplace_factor",
 ]
 
@@ -45,15 +42,15 @@ class GroupingPolicy:
         return 2 if self.variant == "random" else 2 * K
 
 
-def sample_serving_distances(params: NetworkParams, rng: np.random.Generator,
-                             size=None) -> np.ndarray:
+def _sample_serving_distances(params: NetworkParams, rng: np.random.Generator,
+                              size=None) -> np.ndarray:
     """Inverse-CDF sampling of the serving-distance law."""
     u = rng.random(size=size)
     rate = params.c * params.lambda_b * math.pi
     return np.sqrt(-np.log1p(-u) / rate)
 
 
-def interference_coefficient(u: np.ndarray, params: NetworkParams) -> float:
+def _interference_coefficient(u: np.ndarray, params: NetworkParams) -> float:
     """Per-user interference coefficient of the PPP Laplace functional.
 
     Gamma(1 - 2/alpha) * ((rho_I / P) * |u^H 1|^2) ** (2/alpha); the filter
@@ -65,7 +62,7 @@ def interference_coefficient(u: np.ndarray, params: NetworkParams) -> float:
                  * (params.rho_I / params.P * overlap) ** (2.0 / params.alpha))
 
 
-def distance_mixture(rank: int, n_total: int) -> list[tuple[float, int]]:
+def _distance_mixture(rank: int, n_total: int) -> list[tuple[float, int]]:
     """Exponential-mixture representation of the rank-r distance law.
 
     In the squared-distance variable y = x^2 the ordered density is a signed

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import sample_serving_distances
+from .geometry import _sample_serving_distances
 from .model import NetworkParams, PairConfig, sample_error_matrix
 from .scenario import Scenario
 
@@ -99,7 +99,7 @@ def _draw_distances(mode: str, pair: PairConfig, params: NetworkParams,
         raise ValueError("distance averaging requires lambda_b > 0")
     # random grouping: the near and far users are ranks 1 and 2 of two draws
     random = mode == "average-random"
-    d = sample_serving_distances(params, rng, (n, 2 if random else 2 * params.K))
+    d = _sample_serving_distances(params, rng, (n, 2 if random else 2 * params.K))
     d.sort(axis=1)
     r_k, r_kt = (1, 2) if random else (pair.r_k, pair.r_kt)
     return d[:, r_k - 1], d[:, r_kt - 1]

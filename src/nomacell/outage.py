@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroupingPolicy, distance_mixture, interference_coefficient, \
-    policy_laplace_factor
+from .geometry import GroupingPolicy, _distance_mixture, \
+    _interference_coefficient, policy_laplace_factor
 from .laplace import Inversion1DConfig, Inversion2DConfig, invert_1d, invert_2d
 from .model import ChannelEstimate, NetworkParams, PairConfig
 
@@ -104,7 +104,7 @@ def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
         mu=mu,
         delta=delta,
         Psi=Psi,
-        omega=interference_coefficient(u, params),
+        omega=_interference_coefficient(u, params),
         sigma_u2=params.sigma2 * float(np.linalg.norm(u) ** 2),
         sigma_h2=est.sigma_h2,
         stream=stream,
@@ -271,7 +271,7 @@ def _user_law(eff: EffectiveChannel, pair: PairConfig, params: NetworkParams,
         return eff.noise(d, params), _interference_phi(eff.omega, d, params)
     rank = ((pair.r_k, pair.r_kt) if policy.variant == "distance"
             else (1, 2))[far]
-    mixture = distance_mixture(rank, policy.order_total(params.K))
+    mixture = _distance_mixture(rank, policy.order_total(params.K))
     sigma_u2 = 0.0 if interference_limited else eff.sigma_u2
 
     def phi(s):

@@ -1,8 +1,8 @@
 """Serving-distance laws of the PPP model, kept apart from the library.
 
-The analysis averages over these laws through `distance_mixture` and the
-simulator samples them with its own inverse CDF, so the densities here
-are an independent reference for both in the tests.
+The analysis averages over these laws through `geometry._distance_mixture`
+and the simulator samples them with its own inverse CDF, so the densities
+here are an independent reference for both in the tests.
 """
 import math
 

@@ -14,9 +14,11 @@ import pytest
 from scipy.stats import kstest
 
 import nomacell as nc
+import precoder_loop
 from distance_laws import ordered_distance_pdf, serving_distance_cdf
 from nomacell import (GroupingPolicy, NetworkParams, PairConfig,
                       build_scenario)
+from nomacell.geometry import _sample_serving_distances
 
 RATE_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 SEED = 20240717
@@ -206,8 +208,8 @@ def test_criterion_7_signal_alignment(table_params):
             L = np.eye(3, dtype=complex)[:, list(perm)]
             gs = []
             for Hn, Hf in channels:
-                U, _ = nc.alignment_nullspace(Hn, Hf, L)
-                z = nc.choose_receiver_combining(U, Hn @ L)
+                U, _ = precoder_loop.nullspace(Hn, Hf, L)
+                z = precoder_loop.combining(U, Hn @ L)
                 gs.append((Hn @ L).conj().T @ (U @ z)[:2])
             G = np.column_stack(gs)
             if np.linalg.svd(G, compute_uv=False)[-1] < 1e-12:
@@ -282,12 +284,12 @@ def test_criterion_9_correlation_effect():
 
 def test_criterion_10_distribution_oracles(table_params):
     rng = np.random.default_rng(123)
-    d = nc.sample_serving_distances(table_params, rng, size=10_000)
+    d = _sample_serving_distances(table_params, rng, size=10_000)
     stat = kstest(d, lambda x: serving_distance_cdf(x, table_params)).statistic
     assert stat < KS_1PC / math.sqrt(len(d))
 
-    draws = np.sort(nc.sample_serving_distances(table_params, rng,
-                                                size=(10_000, 4)), axis=1)
+    draws = np.sort(_sample_serving_distances(table_params, rng,
+                                              size=(10_000, 4)), axis=1)
     from scipy.integrate import quad
     second = draws[:, 1]
     grid = np.quantile(second, np.linspace(0.02, 0.98, 49))

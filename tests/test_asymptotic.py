@@ -20,6 +20,28 @@ def _bound(eff, pair, params, s, far):
     return bound(s)
 
 
+def _array_bound(eff, stages):
+    """The Chernoff bound of `asymptotic._chernoff` over numpy arrays, and
+    at each s the magnitude of its exponent's terms, which scales the
+    rounding error of each exp."""
+    ups = eff.delta / eff.sigma_h2
+    terms = [(tau, asymptotic._projected_mean(eff, scale))
+             for scale, tau in stages]
+
+    def bound(s):
+        logs = np.log1p(-s * ups)
+        total, size = 0.0, 0.0
+        for tau, zeta2 in terms:
+            parts = zeta2 / (s * ups - 1.0)
+            expo = -np.sum(logs) - s / eff.sigma_h2 * (tau + np.sum(parts))
+            total += np.exp(min(expo, 700.0))
+            size = max(size, 1.0 + np.sum(np.abs(logs)) + s / eff.sigma_h2
+                       * (abs(tau) + np.sum(np.abs(parts))))
+        return float(total), float(size)
+
+    return bound
+
+
 @pytest.fixture(scope="module")
 def free_link():
     return build_scenario(FREE, PairConfig(), k_factor_db=20.0,
@@ -101,6 +123,32 @@ class TestChernoffBounds:
                     (1.0 - 1e-6) * s_sup)
                 got = optimize(eff, pair, FREE)
                 assert (got[0].hex(), got[1].hex()) == (val.hex(), s.hex())
+
+
+def test_float_bound_matches_the_array_bound():
+    # a fixed population: K in {2, 3}, K-factor 0-50 dB, kappa 0-0.95, both
+    # users, s across (0, s_sup).  Within 1e-14 relative, or within four
+    # rounding units of the exponent's term magnitude where its terms
+    # cancel: other seeded populations reach 2.8e-14 relative, always
+    # below one such unit
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for _ in range(60):
+        K = int(rng.choice([2, 3]))
+        params = NetworkParams(M=K + 1, N=K, K=K, lambda_b=0.0)
+        r = float(rng.uniform(0.25, 1.5))
+        link = build_scenario(params, PairConfig(R_k=2 * r, R_kt=r),
+                              kappa=float(rng.uniform(0.0, 0.95)),
+                              k_factor_db=float(rng.uniform(0.0, 50.0)),
+                              seed=int(rng.integers(2 ** 31))).link(1)
+        for far, eff in ((True, link.eff_far), (False, link.eff_near)):
+            stages = asymptotic._bound_stages(eff, link.pair, params, far)
+            bound, s_sup = asymptotic._chernoff(eff, stages)
+            reference = _array_bound(eff, stages)
+            for s in rng.uniform(0.0, 1.0, 8) * s_sup:
+                got = bound(float(s))
+                want, size = reference(s)
+                assert abs(got - want) <= max(1e-14, 4 * eps * size) * want
 
 
 class TestRateThresholds:

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import precoder_loop
 from nomacell import (Inversion1DConfig, NetworkParams, PairConfig,
                       alignment_nullspace, baseline_goodput, build_precoder,
-                      build_scenario, choose_receiver_combining,
-                      far_outage_conditional, maximize_goodput,
+                      build_scenario, far_outage_conditional, maximize_goodput,
                       near_outage_conditional_approx,
                       near_outage_conditional_exact)
 from nomacell import design, laplace, outage
-from nomacell.design import _bisect_rate_cap, _single_stream_goodput
+from nomacell.design import (_bisect_rate_cap, _choose_receiver_combining,
+                             _single_stream_goodput)
 
 
 def _draw_channels(rng, K=2, N=2, M=3):
@@ -23,11 +24,10 @@ def _draw_channels(rng, K=2, N=2, M=3):
 
 class TestAlignmentNullspace:
     def test_dimension_and_residual(self, rng):
-        params = NetworkParams()
         for _ in range(100):
             (Hn, Hf), = _draw_channels(rng, K=1)
             L = np.eye(3, dtype=complex)[:, :2]
-            U, degenerate = alignment_nullspace(Hn, Hf, L)
+            U, degenerate = alignment_nullspace(Hn @ L, Hf @ L)
             assert U.shape == (4, 2)
             assert not degenerate
             C = np.hstack([(Hn @ L).conj().T, -(Hf @ L).conj().T])
@@ -40,7 +40,7 @@ class TestAlignmentNullspace:
         # (H L)^H u = (H L)^H u, i.e. any u does after differencing
         H = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         L = np.eye(3, dtype=complex)[:, :2]
-        U, _ = alignment_nullspace(H, H, L)
+        U, _ = alignment_nullspace(H @ L, H @ L)
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         stacked = np.concatenate([u, u])
         # stacked vector is reproduced by the basis (it lies in the span)
@@ -49,14 +49,32 @@ class TestAlignmentNullspace:
 
     def test_rejects_k_geq_2n(self, rng):
         H = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        HL = H @ np.eye(4, dtype=complex)[:, :2]
         with pytest.raises(ValueError):
-            alignment_nullspace(H, H, np.eye(4, dtype=complex)[:, :2])
+            alignment_nullspace(HL, HL)
+
+    def test_stacked_call_is_the_single_calls(self, rng):
+        # leading axes only stack: each matrix gets the single call's bits,
+        # and the degenerate mark of a rank-deficient one stays its own
+        A_near, A_far = (rng.normal(size=(3, 2, 2, 2))
+                         + 1j * rng.normal(size=(3, 2, 2, 2)) for _ in range(2))
+        A_near[1, 0, :, 1] = A_near[1, 0, :, 0]
+        A_far[1, 0, :, 1] = A_far[1, 0, :, 0]
+        U, degenerate = alignment_nullspace(A_near, A_far)
+        z = _choose_receiver_combining(U, A_near)
+        assert U.shape == (3, 2, 4, 2) and degenerate.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            U1, deg1 = alignment_nullspace(A_near[idx], A_far[idx])
+            assert np.array_equal(U[idx], U1)
+            assert degenerate[idx] == deg1 == (idx == (1, 0))
+            assert np.array_equal(z[idx],
+                                  _choose_receiver_combining(U1, A_near[idx]))
 
 
 class TestReceiverCombining:
     def test_forced_scalar(self):
-        z = choose_receiver_combining(np.ones((4, 1), dtype=complex),
-                                      np.ones((2, 2), dtype=complex))
+        z = _choose_receiver_combining(np.ones((4, 1), dtype=complex),
+                                       np.ones((2, 2), dtype=complex))
         assert z.shape == (1,)
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
 
@@ -64,8 +82,8 @@ class TestReceiverCombining:
         Hn = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         Hf = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         L = np.eye(3, dtype=complex)[:, :2]
-        U, _ = alignment_nullspace(Hn, Hf, L)
-        z = choose_receiver_combining(U, Hn @ L)
+        U, _ = alignment_nullspace(Hn @ L, Hf @ L)
+        z = _choose_receiver_combining(U, Hn @ L)
         gain_map = (Hn @ L).conj().T @ U[:2, :]
         best = np.linalg.norm(gain_map @ z)
         for _ in range(100):
@@ -77,8 +95,8 @@ class TestReceiverCombining:
         Hn = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         Hf = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         L = np.eye(3, dtype=complex)[:, :2]
-        U, _ = alignment_nullspace(Hn, Hf, L)
-        z = choose_receiver_combining(U, Hn @ L)
+        U, _ = alignment_nullspace(Hn @ L, Hf @ L)
+        z = _choose_receiver_combining(U, Hn @ L)
         gain_map = (Hn @ L).conj().T @ U[:2, :]
         g1 = np.linalg.norm(gain_map @ z)
         g2 = np.linalg.norm(gain_map @ (np.exp(1j * 0.7) * z))
@@ -119,8 +137,8 @@ class TestBuildPrecoder:
             L = np.eye(M, dtype=complex)[:, list(cols)]
             gs = []
             for Hn, Hf in channels:
-                U, _ = alignment_nullspace(Hn, Hf, L)
-                z = choose_receiver_combining(U, Hn @ L)
+                U, _ = precoder_loop.nullspace(Hn, Hf, L)
+                z = precoder_loop.combining(U, Hn @ L)
                 u_k = (U @ z)[:N]
                 gs.append((Hn @ L).conj().T @ u_k)
             G = np.column_stack(gs)
@@ -182,6 +200,100 @@ class TestBuildPrecoder:
         assert abs(abs(design.V[0, 0]) - 1.0) <= 1e-12
         mu = design.u_near[0].conj() @ H @ design.V
         assert abs(mu[0]) ** 2 == pytest.approx(design.gamma[0], rel=1e-10)
+
+
+def _loop_deviation(got, want):
+    """Largest relative deviation of the stacked design `got` from the
+    per-candidate loop's (V, u_near, u_far, L, gamma, flags) `want`, after
+    checking that both picked the same candidate with the same flags."""
+    V, u_near, u_far, L, gamma, flags = want
+    assert np.array_equal(got.L, L)
+    assert got.flags == flags
+    return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+               for a, b in ((got.V, V), (got.u_near, u_near),
+                            (got.u_far, u_far), (got.gamma, gamma)))
+
+
+class TestStackedPass:
+    """`build_precoder` scores every (candidate, pair) in one stacked pass;
+    `tests/precoder_loop.py` is the per-candidate loop it replaced."""
+
+    @pytest.mark.parametrize("M, N, K", [(3, 2, 2), (4, 3, 3)])
+    def test_bit_identical_to_the_loop(self, M, N, K):
+        rng = np.random.default_rng(31)
+        params = NetworkParams(M=M, N=N, K=K)
+        for _ in range(50):
+            channels = _draw_channels(rng, K=K, N=N, M=M)
+            got = build_precoder(channels, params)
+            assert _loop_deviation(
+                got, precoder_loop.build_precoder(channels, params)) == 0.0
+
+    @pytest.mark.parametrize("M, N, K", [(5, 4, 3), (4, 4, 2)])
+    def test_matches_the_loop_to_rounding(self, M, N, K):
+        # stacked products may take other BLAS kernels at these sizes
+        rng = np.random.default_rng(31)
+        params = NetworkParams(M=M, N=N, K=K)
+        for _ in range(20):
+            channels = _draw_channels(rng, K=K, N=N, M=M)
+            got = build_precoder(channels, params)
+            assert _loop_deviation(
+                got, precoder_loop.build_precoder(channels, params)) <= 1e-14
+
+    def test_subsampled_selection_matches_the_loop(self):
+        # C(17, 5) = 6,188 subsets exceed the enumeration cap.  Antennas
+        # 3g, 3g + 1 and 3g + 2 see one channel, so the drawn candidates
+        # that pick the same groups tie exactly and a candidate with two
+        # antennas of one group is singular; pair 0's stacked channel has
+        # rank K - 1 on every selection, a degenerate null space
+        M, N, K = 17, 5, 5
+        params = NetworkParams(M=M, N=N, K=K)
+        rng = np.random.default_rng(12345)
+        group = np.arange(M) // 3
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        channels = [(draw(N, 6)[:, group], draw(N, 6)[:, group])
+                    for _ in range(K)]
+        low_rank = (draw(2 * N, K - 1) @ draw(K - 1, 6))[:, group]
+        channels[0] = (low_rank[:N], low_rank[N:])
+        got = build_precoder(channels, params)
+        assert got.flags == ("selection_subsampled", "degenerate_null_space")
+        assert _loop_deviation(
+            got, precoder_loop.build_precoder(channels, params)) <= 1e-14
+        drawn = [tuple(c) for c in
+                 design._selection_columns(M, K)[0].tolist()]
+        chosen = tuple(np.argmax(got.L, axis=0).tolist())
+        ties = [i for i, c in enumerate(drawn)
+                if np.array_equal(group[list(c)], group[list(chosen)])]
+        assert len(ties) > 1 and drawn.index(chosen) == ties[0]
+
+    def test_degenerate_flag_follows_the_chosen_candidate(self):
+        # antenna j carries nothing to pair 0, so the candidates holding it
+        # have a degenerate null space there; the pick may or may not.  Such
+        # a null space has no unique basis (the loop's H @ L feeds LAPACK
+        # signed zeros where the gather copies +0), so V and the filters
+        # may differ; the pick, its gains and its flags may not
+        rng = np.random.default_rng(5)
+        params = NetworkParams()
+        seen = set()
+        for trial in range(12):
+            channels = _draw_channels(rng)
+            for H in channels[0]:
+                H[:, trial % 3] = 0.0
+            got = build_precoder(channels, params)
+            _, _, _, L, gamma, flags = precoder_loop.build_precoder(channels,
+                                                                    params)
+            assert np.array_equal(got.L, L) and got.flags == flags
+            assert np.allclose(got.gamma, gamma, rtol=1e-14, atol=0.0)
+            seen.add(got.flags)
+        assert seen == {(), ("degenerate_null_space",)}
+
+    def test_design_arrays_own_their_data(self, rng):
+        # a view into the candidate stacks would keep all of them alive
+        got = build_precoder(_draw_channels(rng), NetworkParams())
+        for arr in (got.V, got.u_near, got.u_far, got.L, got.gamma):
+            assert arr.base is None or arr.base.size == arr.size
 
 
 def _goodput(link, params, **rates):
@@ -268,10 +380,36 @@ class TestBisectRateCap:
         assert bad - cap <= 1e-9 * bad
         assert len(evaluated) <= self._max_evaluations(0.0227) == 43
 
-    def test_no_feasible_rate_gives_zero_after_the_iteration_cap(self):
-        cap, evaluated = self._search(lambda R: 1.0, 0.01)
-        assert cap == 0.0
-        assert len(evaluated) == 60
+    @pytest.mark.parametrize("share", [1.0, 0.3])
+    def test_no_feasible_rate_stops_where_rates_decode_as_zero(self, share):
+        # no rate whose threshold 2^(R / share) - 1 rounds to 0 is
+        # evaluated, and the search ends when the bracket's midpoint is
+        # one: 10 ITP steps and 4 bisections below 64 at share 1, where it
+        # took all 60 steps down to 1.4e-17 before
+        evaluated = []
+
+        def p(R):
+            evaluated.append(R)
+            return 1.0
+
+        assert _bisect_rate_cap(p, 0.01, self.HI, share) == 0.0
+        assert all(2.0 ** (R / share) - 1.0 > 0.0 for R in evaluated)
+        assert 2.0 ** (0.5 * min(evaluated) / share) - 1.0 == 0.0
+        assert len(evaluated) <= 15
+
+    def test_feasible_rates_near_zero_are_found(self):
+        # feasible rates only below 3e-16: ITP's probe drops below every
+        # nonzero threshold, and bisection finds them instead (to 1e-4
+        # when the iteration cap ends it)
+        cap, _ = self._search(lambda R: float(R > 3e-16), 0.01)
+        assert 3e-16 * (1.0 - 1e-4) <= cap <= 3e-16
+
+    def test_iteration_cap_ends_a_search_near_zero(self):
+        # feasible rates only below 1e-14: a 1e-9 bracket there takes about
+        # 80 bisections, and the search stops after `_CAP_ITERS` evaluations
+        cap, evaluated = self._search(lambda R: float(R > 1e-14), 0.01)
+        assert 0.0 < cap <= 1e-14
+        assert len(evaluated) == design._CAP_ITERS
 
 
 def _record_near_evaluations(monkeypatch):
@@ -394,18 +532,34 @@ class TestMaximizeGoodput:
                     for b in np.linspace(split_cap / 60, split_cap, 60))
         assert sol.goodput >= dense * 0.99
 
-    def test_unreachable_epsilon_gives_a_finite_answer(self):
-        # no rate meets 1e-12 on the fig7 link at 20 dB, so the cap
-        # search descends to rates where 2^R - 1 rounds to 0
+    def test_unreachable_epsilon_gives_a_finite_answer(self, monkeypatch):
+        # no rate meets 1e-12 on the fig7 link at 20 dB.  Each cap search
+        # descends until the SINR threshold 2^R - 1 (at R / share for OMA)
+        # rounds to 0, where rates decode as rate 0, and stops there with
+        # no feasible rate: the far cap takes 8 evaluations, where it took
+        # 61, down to 1.4e-20, and returned a rate of 1.6e-16 at p = 0
         params = NetworkParams()
         link = _fig7_link(params, "aligned")
+        counts, search = [], design._bisect_rate_cap
+
+        def counted(p_of_rate, *args):
+            counts.append(0)
+
+            def p(R):
+                counts[-1] += 1
+                return p_of_rate(R)
+
+            return search(p, *args)
+
+        monkeypatch.setattr(design, "_bisect_rate_cap", counted)
         sol = maximize_goodput(link, 1e-12, params)
         assert (sol.feasible, sol.goodput, sol.p_near, sol.p_far) == \
             (False, 0.0, 1.0, 1.0)
         oma = baseline_goodput("oma", link, 1e-12, params)
-        assert all(math.isfinite(v) for v in
-                   (oma.R_k, oma.R_kt, oma.goodput, oma.p_near, oma.p_far))
-        assert max(oma.p_near, oma.p_far) <= 1e-12
+        assert (oma.feasible, oma.goodput, oma.p_near, oma.p_far) == \
+            (False, 0.0, 1.0, 1.0)
+        # far cap and SIC cap (which skips its zero top), then both users
+        assert len(counts) == 4 and max(counts) <= 15
 
     @staticmethod
     def _fresh_outages(link, sol, params):

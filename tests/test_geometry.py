@@ -9,10 +9,10 @@ from scipy.stats import kstest
 
 from distance_laws import (ordered_distance_pdf, serving_distance_cdf,
                            serving_distance_pdf)
-from nomacell import (GroupingPolicy, NetworkParams, distance_mixture,
-                      interference_coefficient, policy_laplace_factor,
-                      sample_serving_distances)
-from nomacell.geometry import _NODES, _STEP, _exp_sinh_nodes, _mixture_integral
+from nomacell import GroupingPolicy, NetworkParams, policy_laplace_factor
+from nomacell.geometry import (_NODES, _STEP, _distance_mixture, _exp_sinh_nodes,
+                               _interference_coefficient, _mixture_integral,
+                               _sample_serving_distances)
 from nomacell.montecarlo import _MAX_MEAN_POINTS, _interference
 
 # 1% two-sided Kolmogorov-Smirnov critical value factor
@@ -63,7 +63,7 @@ class TestServingDistance:
         assert np.all(np.diff(serving_distance_cdf(x, table_params)) >= 0)
 
     def test_sampler_ks(self, table_params, rng):
-        d = sample_serving_distances(table_params, rng, size=10_000)
+        d = _sample_serving_distances(table_params, rng, size=10_000)
         stat = kstest(d, lambda x: serving_distance_cdf(x, table_params)).statistic
         assert stat < KS_1PC / math.sqrt(len(d))
 
@@ -119,7 +119,7 @@ class TestOrderedDistance:
         assert abs(total - 1.0) <= 1e-9
 
     def test_rank2_of_4_ks(self, table_params, rng):
-        draws = sample_serving_distances(table_params, rng, size=(10_000, 4))
+        draws = _sample_serving_distances(table_params, rng, size=(10_000, 4))
         second = np.sort(draws, axis=1)[:, 1]
 
         def cdf(x):
@@ -152,24 +152,24 @@ class TestInterferenceCoefficient:
     def test_sqrt_pi_case(self):
         params = NetworkParams(alpha=4.0, rho_I=0.1, P=0.1)
         u = np.array([1.0, 0.0])
-        assert interference_coefficient(u, params) == pytest.approx(math.sqrt(math.pi))
+        assert _interference_coefficient(u, params) == pytest.approx(math.sqrt(math.pi))
 
     def test_nulled_filter(self, table_params):
         u = np.array([1.0, -1.0]) / math.sqrt(2)
-        assert interference_coefficient(u, table_params) == pytest.approx(0.0)
+        assert _interference_coefficient(u, table_params) == pytest.approx(0.0)
 
     def test_against_independent_gamma(self):
         params = NetworkParams(alpha=3.5, rho_I=10 ** 1.5 / 1000, P=0.1)
         u = np.array([math.sqrt(0.7), 0.0])
         want = float(mpmath.gamma(1 - 2 / 3.5)) * (
             params.rho_I / params.P * 0.7) ** (2 / 3.5)
-        assert interference_coefficient(u, params) == pytest.approx(want, rel=1e-12)
+        assert _interference_coefficient(u, params) == pytest.approx(want, rel=1e-12)
 
     def test_homogeneity(self, table_params):
         u = np.array([0.6, 0.8j])
-        base = interference_coefficient(u, table_params)
+        base = _interference_coefficient(u, table_params)
         params2 = NetworkParams(rho_I=table_params.rho_I * 3.0)
-        scaled = interference_coefficient(u, params2)
+        scaled = _interference_coefficient(u, params2)
         assert scaled == pytest.approx(base * 3.0 ** (2 / table_params.alpha))
 
     def test_rejects_alpha_leq_2(self):
@@ -226,15 +226,15 @@ class TestPPPSampler:
 class TestPolicyFactor:
     def test_normalization_at_zero(self, table_params):
         # phi(0) = 1 for every policy: expectation of unity
-        for mixture in (distance_mixture(1, 2), distance_mixture(2, 2),
-                        distance_mixture(1, 4), distance_mixture(4, 4)):
+        for mixture in (_distance_mixture(1, 2), _distance_mixture(2, 2),
+                        _distance_mixture(1, 4), _distance_mixture(4, 4)):
             val = policy_laplace_factor(0.0, mixture, omega=0.8,
                                         sigma_u2=0.0, params=table_params)
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_at_zero_with_noise(self, table_params):
         # s = 0 zeroes the noise coefficient too, alone or inside an array
-        mixture = distance_mixture(2, 4)
+        mixture = _distance_mixture(2, 4)
         vals = policy_laplace_factor(np.array([0.0, 1.0 + 2.0j]), mixture,
                                      0.8, table_params.sigma2, table_params)
         assert vals[0] == 1.0
@@ -242,7 +242,7 @@ class TestPolicyFactor:
                                      table_params) == 1.0
 
     def test_array_matches_scalar_calls(self, table_params, rng):
-        mixture = distance_mixture(2, 4)
+        mixture = _distance_mixture(2, 4)
         s = (10.0 ** rng.uniform(-2, 3, (3, 5))
              * np.exp(1j * rng.uniform(-1.5, 1.5, (3, 5))))
         for sigma_u2 in (0.0, table_params.sigma2 * 0.7):
@@ -307,13 +307,13 @@ class TestPolicyFactor:
 
     def test_mixture_weights_sum_to_one(self):
         for rank, total in ((1, 2), (2, 2), (1, 4), (2, 4), (3, 4), (4, 4)):
-            terms = distance_mixture(rank, total)
+            terms = _distance_mixture(rank, total)
             assert sum(c / m for c, m in terms) == pytest.approx(1.0)
 
     def test_matches_direct_distance_quadrature(self, table_params):
         # oracle: integrate the distance law directly against the kernel
         omega, sigma_u2 = 0.5, table_params.sigma2 * 0.7
-        mixture = distance_mixture(2, 4)
+        mixture = _distance_mixture(2, 4)
         for s in (0.5 + 0.0j, 4.0 + 3.0j, 2.0 + 40.0j):
             def integrand(d):
                 return (np.exp(-(sigma_u2 / table_params.P) * s
