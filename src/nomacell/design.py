@@ -20,8 +20,8 @@ from .laplace import Inversion1DConfig
 from .model import NetworkParams, PairConfig
 from .outage import (EffectiveChannel, _inv_snr_gap, _NearJoint,
                      far_outage_conditional, single_stream_outage_conditional)
-# Neither is called here (`maximize_goodput` holds a grid-reusing evaluator
-# of the exact operator), but `perfbench/nomabench/tracing.py` patches every
+# Neither is called here (`maximize_goodput` holds one evaluator of the
+# exact operator per call), but `perfbench/nomabench/tracing.py` patches every
 # outage site of this module by name.
 from .outage import (near_outage_conditional_approx,  # noqa: F401
                      near_outage_conditional_exact)
@@ -39,6 +39,9 @@ __all__ = [
 _NULL_TOL = 1e-10
 _MAX_ENUMERATION = 5040
 _SUBSAMPLE = 1000
+# Antenna-selection candidates scored per stacked pass: a build peaks at
+# about 6.2 MB at (M, N, K) = (16, 5, 5) (97.5 MB for all 4,368 at once).
+_SELECTION_BLOCK = 256
 # Rate-cap search: relative bracket width at which it stops, and the cap
 # on evaluations below the bracket top that ends it when no rate is
 # feasible.  ITP truncation gain (times 1 / hi) and exponent, and the
@@ -147,45 +150,65 @@ def build_precoder(channels: list[tuple[np.ndarray, np.ndarray]],
     """Select the antenna subset maximizing the smallest effective gain.
 
     `channels` lists one (H_near, H_far) known-part pair per NOMA pair.
-    Every (candidate, pair) combination is scored in one stacked pass: one
-    null-space and one combining call over all of them.  Candidates with a
-    singular aligned channel are discarded; ties resolve to the lowest
-    candidate index.
+    The (candidate, pair) combinations are scored in stacked passes over
+    `_SELECTION_BLOCK` candidates at a time: one null-space and one
+    combining call per block.  Candidates with a singular aligned channel
+    are discarded; ties resolve to the lowest candidate index.
     """
     K = len(channels)
     if K != params.K:
         raise ValueError("one channel pair per NOMA pair expected")
     cols, subsampled = _selection_columns(params.M, K)
+    near, far = (np.array(side) for side in zip(*channels))
+    best = None
+    for start in range(0, len(cols), _SELECTION_BLOCK):
+        block = _score_candidates(
+            near, far, cols[start:start + _SELECTION_BLOCK], params.N)
+        if block is not None and (best is None or block[0] > best[0]):
+            best = (block[0], start + block[1], *block[2:])
+    if best is None:
+        raise ValueError("all antenna-selection candidates gave a singular "
+                         "aligned channel")
+    _, c, u_near, u_far, Ginv, gamma, degenerate = best
+    L = np.eye(params.M)[:, cols[c]]
+    V = L @ (Ginv.conj().T * np.sqrt(gamma))
+    flags = ()
+    if subsampled:
+        flags += ("selection_subsampled",)
+    if degenerate:
+        flags += ("degenerate_null_space",)
+    return LinearDesign(V=V, u_near=u_near, u_far=u_far, L=L, gamma=gamma,
+                        flags=flags)
+
+
+def _score_candidates(near: np.ndarray, far: np.ndarray, cols: np.ndarray,
+                      N: int):
+    """The best of the candidates `cols` for the (pair, N, M) channel
+    stacks `near` and `far`: (smallest gain, index in `cols`, u_near,
+    u_far, G^-1, gains, degenerate null space), or None when every
+    candidate's aligned channel is singular."""
     # (candidate, pair, N, K) stacks of the selected channels H L
-    A_near, A_far = (np.moveaxis(np.array(side)[..., cols], 2, 0)
-                     for side in zip(*channels))
+    A_near, A_far = (np.moveaxis(side[..., cols], 2, 0)
+                     for side in (near, far))
     U, degenerate = alignment_nullspace(A_near, A_far)
     z = _choose_receiver_combining(U, A_near)
     stacked = (U @ z[..., None])[..., 0]
-    u_near, u_far = stacked[..., :params.N], stacked[..., params.N:]
+    u_near, u_far = stacked[..., :N], stacked[..., N:]
     # column k of G is pair k's effective channel (H_near L)^H u_k
     G = (A_near.conj().swapaxes(-1, -2) @ u_near[..., None])[..., 0]
     G = G.swapaxes(-1, -2)
     sv = np.linalg.svd(G, compute_uv=False)
     valid = np.flatnonzero(sv[:, -1] > 1e-12 * np.maximum(sv[:, 0], 1.0))
     if valid.size == 0:
-        raise ValueError("all antenna-selection candidates gave a singular "
-                         "aligned channel")
+        return None
     Ginv = np.linalg.inv(G[valid])
     gamma = 1.0 / np.diagonal((Ginv @ Ginv.conj().swapaxes(-1, -2)).real,
                               axis1=-2, axis2=-1)
     best = int(np.argmax(gamma.min(axis=-1)))
     c = valid[best]
-    L = np.eye(params.M)[:, cols[c]]
-    V = L @ (Ginv[best].conj().T * np.sqrt(gamma[best]))
-    flags = ()
-    if subsampled:
-        flags += ("selection_subsampled",)
-    if degenerate[c].any():
-        flags += ("degenerate_null_space",)
-    # copies: a view would keep every candidate's stack alive
-    return LinearDesign(V=V, u_near=u_near[c].copy(), u_far=u_far[c].copy(),
-                        L=L, gamma=gamma[best].copy(), flags=flags)
+    # copies: a view would keep the block's stacks alive
+    return (gamma[best].min(), c, u_near[c].copy(), u_far[c].copy(),
+            Ginv[best].copy(), gamma[best].copy(), bool(degenerate[c].any()))
 
 
 def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
@@ -286,18 +309,20 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     feasible pair.  The near-user constraint is the exact joint outage: the
     decorrelated approximation double-charges the interference budget of
     the two SIC stages and can push the solution far off the true feasible
-    boundary.  `cfg` sets the far user's 1D inversions; the near user's
-    joint outage is inverted in 2D at the default `Inversion2DConfig`.
+    boundary.  At epsilon = 1 neither outage is constrained, so the search
+    may give up the near user.  `cfg` sets the far user's 1D inversions;
+    the near user's joint outage comes from one evaluator per call, which
+    builds the link's conditional eigensystem once and integrates 1D
+    inversions at the default `Inversion1DConfig` over the conditioning
+    Gaussian (`outage._ConditionedJoint`).
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     cfg = cfg or Inversion1DConfig()
     pair0 = link.pair
-    eps = min(epsilon, 1.0 - 1e-12)
 
     # One memo per outage function, shared by the caps, the probes and the
-    # search; every evaluation is a numerical inversion.  The near-user
-    # evaluator also reuses its 2D transform grids across rate points.
+    # search; every evaluation is a numerical inversion.
     @functools.cache
     def p_far(R_kt):
         return far_outage_conditional(link.eff_far, pair0.with_rates(R_kt=R_kt),
@@ -307,15 +332,15 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     p_near = functools.cache(lambda *rates: near_exact(*rates).probability)
 
     def near_cap(R_kt):
-        return _bisect_rate_cap(lambda R: p_near(R, R_kt), eps, _RATE_MAX)
+        return _bisect_rate_cap(lambda R: p_near(R, R_kt), epsilon, _RATE_MAX)
 
     def goodput(R_k, R_kt):
         return R_k * (1.0 - p_near(R_k, R_kt)) + R_kt * (1.0 - p_far(R_kt))
 
     split_cap = math.log2(1.0 + 1.0 / pair0.beta_k2) * (1.0 - 1e-9)
-    far_cap = _bisect_rate_cap(p_far, eps, split_cap)
+    far_cap = _bisect_rate_cap(p_far, epsilon, split_cap)
     # the SIC stage alone, at a vanishing R_k, caps R_kt too
-    R_kt = _bisect_rate_cap(lambda R: p_near(1e-9, R), eps, far_cap)
+    R_kt = _bisect_rate_cap(lambda R: p_near(1e-9, R), epsilon, far_cap)
     if R_kt <= 0.0:
         return RateSolution(0.0, 0.0, 0.0, 1.0, 1.0, feasible=False)
     R_k = near_cap(R_kt)
@@ -323,8 +348,9 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     back = R_kt * (1.0 - _CORNER_STEP)
     if (goodput(near_cap(back), back) >= g
             or goodput(R_k * (1.0 - _CORNER_STEP), R_kt) >= g):
-        (R_k, R_kt), g = _box_search(lambda x: (p_near(*x), p_far(x[1])), eps,
-                                     (near_cap(1e-9), R_kt), (R_k, R_kt))
+        (R_k, R_kt), g = _box_search(lambda x: (p_near(*x), p_far(x[1])),
+                                     epsilon, (near_cap(1e-9), R_kt),
+                                     (R_k, R_kt))
     return RateSolution(float(R_k), float(R_kt), float(g), p_near(R_k, R_kt),
                         p_far(R_kt))
 

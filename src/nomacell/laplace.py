@@ -12,7 +12,10 @@ every row's table together, one column at a time in two buffers, and
 looks for singular steps once, after the last column.  The Euler weights
 are computed once per averaging order.  Both kernels treat
 the transform as a black box evaluated on vertical contours with Re > 0,
-so fractional powers s**(2/alpha) stay on the principal branch.
+so fractional powers s**(2/alpha) stay on the principal branch.  The 1D
+kernel inverts one abscissa or a batch of them in one call.  No outage
+operator inverts in 2D by default: the 2D kernel is the independent
+reference route that an explicit `Inversion2DConfig` selects.
 
 A 2D transform may depend on u = s + t through a factor of its own (the
 interference factor of the outage transforms).  Its periods then keep
@@ -77,17 +80,16 @@ class Inversion2DConfig:
     ladder: each axis gets T = 1.25 * 2^(j/2) for the least integer j with
     theta / T <= 0.8, so theta / T lies in (0.8 / sqrt(2), 0.8] (keeping
     the argument well inside one period even when the two abscissae are
-    far apart), and nearby abscissae share one transform grid.  A
-    transform with a factor of s + t (`lattice`) needs an even rung
-    difference j1 - j2, so that T1 / T2 is an integer power of 2: where it
-    is odd, the s axis goes one rung up, to theta1 / T1 in (0.4, 0.566].
-    (Raising the t axis instead erred by up to 3.4e-8 against L = 160 on
-    20 links at lambda_b = 1e-5, the s axis by 2.7e-10.)  Transforms
-    without such a factor keep the plain ladder: the raised rung moved
-    the interference-free fig6 p_near from 0.914729 to 0.912205.  `L` is
-    the series truncation order and `p_eps` the epsilon-extrapolation depth
-    (2 * p_eps + 1 partial sums); the discretization error target `_E_R`
-    fixes the contour abscissae c1, c2.
+    far apart).  A transform with a factor of s + t (`lattice`) needs an
+    even rung difference j1 - j2, so that T1 / T2 is an integer power of
+    2: where it is odd, the s axis goes one rung up, to theta1 / T1 in
+    (0.4, 0.566].  (Raising the t axis instead erred by up to 3.4e-8
+    against L = 160 on 20 links at lambda_b = 1e-5, the s axis by
+    2.7e-10.)  Transforms without such a factor keep the plain ladder: the
+    raised rung moved the interference-free fig6 p_near from 0.914729 to
+    0.912205.  `L` is the series truncation order and `p_eps` the
+    epsilon-extrapolation depth (2 * p_eps + 1 partial sums); the
+    discretization error target `_E_R` fixes the contour abscissae c1, c2.
     """
 
     L: int = 80
@@ -127,30 +129,55 @@ def _ladder_rung(theta: float) -> int:
     return j
 
 
-def invert_1d(transform, tau: float, config: Inversion1DConfig | None = None) -> float:
-    """Invert a 1D Laplace transform at abscissa tau > 0.
+def invert_1d(transform, tau, config: Inversion1DConfig | None = None):
+    """Invert a 1D Laplace transform at abscissa tau > 0, or at an array
+    of abscissae.
 
     `transform` must accept a complex ndarray and return the transform
-    values elementwise.  Returns the Euler-summation estimate
+    values elementwise; for an array of abscissae it gets one contour per
+    abscissa along a new last axis.  Returns the Euler-summation estimate
     (2^-M e^{A/2} / tau) * sum_m C(M, m) [Re F(A / 2 tau) / 2
-        + sum_{n=1}^{Q+m} (-1)^n Re F((A + 2 n pi i) / 2 tau)].
+        + sum_{n=1}^{Q+m} (-1)^n Re F((A + 2 n pi i) / 2 tau)],
+    a float for a scalar tau and an array of tau's shape otherwise.
     """
-    if tau <= 0:
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau > 0):
         raise ValueError("inversion abscissa tau must be positive")
     cfg = config or Inversion1DConfig()
     A, M, Q = cfg.A, cfg.m_euler, cfg.q
-    n = np.arange(0, Q + M + 1)
-    s = (A + 2j * math.pi * n) / (2.0 * tau)
+    numerator, signs = _euler_contour(A, M + Q)
+    s = numerator / (2.0 * tau[..., None])
     vals = np.real(np.asarray(transform(s), dtype=complex))
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("transform returned non-finite values on the contour")
-    terms = np.empty_like(vals)
-    terms[0] = 0.5 * vals[0]
-    terms[1:] = np.where(n[1:] % 2 == 1, -vals[1:], vals[1:])
-    partial = np.cumsum(terms)
-    m = np.arange(0, M + 1)
-    return float(math.exp(A / 2.0) / tau
-                 * np.dot(_euler_weights(M), partial[Q + m]))
+    partial = np.cumsum(vals * signs, axis=-1)
+    value = math.exp(A / 2.0) / tau * (partial[..., Q:] @ _euler_weights(M))
+    return float(value) if value.ndim == 0 else value
+
+
+def _euler_spread(values, tau, config: Inversion1DConfig):
+    """|E(M, Q) - E(M - 1, Q)|: how far each Euler sum of `invert_1d` at
+    `config` moves when its averaging order drops by one, from the
+    transform `values` it evaluated at the abscissae `tau`.  Euler's
+    estimate of its own error (Abate & Whitt, Queueing Syst. 10, 1992)."""
+    A, M, Q = config.A, config.m_euler, config.q
+    _, signs = _euler_contour(A, M + Q)
+    partial = np.cumsum(np.real(values) * signs, axis=-1)[..., Q:]
+    moved = (partial @ _euler_weights(M)
+             - partial[..., :M] @ _euler_weights(M - 1))
+    return math.exp(A / 2.0) / tau * np.abs(moved)
+
+
+@functools.lru_cache(maxsize=None)
+def _euler_contour(A: float, N: int):
+    """Read-only contour numerators A + 2 n pi i and term signs (1/2 for
+    n = 0, then (-1)^n; exact, so the terms keep their bits), n = 0..N."""
+    n = np.arange(0, N + 1)
+    signs = np.where(n % 2 == 1, -1.0, 1.0)
+    signs[0] = 0.5
+    numerator = A + 2j * math.pi * n
+    numerator.flags.writeable = signs.flags.writeable = False
+    return numerator, signs
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,14 +363,9 @@ def _sum_grid(F: np.ndarray, theta1: float, theta2: float, periods,
                  * 2.0 * total.real)
 
 
-# Transform grids a `grids` dict of `invert_2d` keeps: one grid is
-# (L + 2 p_eps + 1) x (2 (L + 2 p_eps) + 1) complex, 300 KB at the defaults.
-_MAX_GRIDS = 8
-
-
 def invert_2d(transform, theta1: float, theta2: float,
               config: Inversion2DConfig | None = None,
-              grids: dict | None = None, lattice: bool = False) -> float:
+              lattice: bool = False) -> float:
     """Invert a 2D Laplace transform at (theta1, theta2), both > 0.
 
     `transform` is called once with broadcastable complex grids (column of
@@ -357,25 +379,10 @@ def invert_2d(transform, theta1: float, theta2: float,
     Tail sums over both indices are extrapolated with the epsilon
     algorithm using 2 * p_eps + 1 partial sums: one batched call for every
     row's inner sum, one for the outer sum.
-
-    `grids`, a dict the caller keeps for this one transform, reuses its
-    grids across abscissae: a grid stored there for the same periods and
-    orders is summed without calling `transform`, and the grid used is
-    (re)inserted last, so the dict runs from least to most recently used;
-    past `_MAX_GRIDS` grids the least recently used go.  The value is the
-    same either way, bit for bit.
     """
     if theta1 <= 0 or theta2 <= 0:
         raise ValueError("inversion abscissae must be positive")
     cfg = config or Inversion2DConfig()
     periods = cfg.resolve(theta1, theta2, lattice)
-    grids = {} if grids is None else grids
-    key = (cfg.L, cfg.p_eps, *periods)
-    F = grids.pop(key, None)
-    if F is None:
-        F = _transform_grid(transform, periods, cfg, lattice)
-        F.flags.writeable = False  # shared by every later inversion
-    grids[key] = F
-    while len(grids) > _MAX_GRIDS:
-        del grids[next(iter(grids))]
+    F = _transform_grid(transform, periods, cfg, lattice)
     return _sum_grid(F, theta1, theta2, periods, cfg)

@@ -14,9 +14,11 @@ link distance, or its average over a grouping policy's distance law.
 `_user_law` gives a user's noise and factor either way.  `_outage` alone
 decides how every operator evaluates: a flag, a certain stage, the
 concentration shortcut, or inversion, either of the near user's exact
-joint SIC event in 2D (the joint that `_NearJoint` passes in) or of one
-stage at a time in 1D (whose product is the stage-independence
-approximation for the near user).
+joint SIC event (the joint that `_NearJoint` passes in: 1D inversions
+integrated over one conditioning real Gaussian, or, at an explicit
+`Inversion2DConfig`, the 2D inversion that serves as the independent
+reference) or of one stage at a time in 1D (whose product is the
+stage-independence approximation for the near user).
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ import numpy as np
 
 from .geometry import GroupingPolicy, _distance_mixture, \
     _interference_coefficient, policy_laplace_factor
-from .laplace import Inversion1DConfig, Inversion2DConfig, invert_1d, invert_2d
+from .laplace import (Inversion1DConfig, Inversion2DConfig, _euler_spread,
+                      invert_1d, invert_2d)
 from .model import ChannelEstimate, NetworkParams, PairConfig
 
 __all__ = [
@@ -99,7 +102,8 @@ def effective_channel(est: ChannelEstimate, V: np.ndarray, u: np.ndarray,
     Sigma = est.sigma_h2 * quad_r * (V.conj().T @ est.R_t @ V).T
     delta, Psi = np.linalg.eigh(Sigma)
     delta = np.clip(delta[::-1].real, 0.0, None)
-    Psi = Psi[:, ::-1]
+    # a copy: the reversed view would keep eigh's output alive with it
+    Psi = Psi[:, ::-1].copy()
     return EffectiveChannel(
         mu=mu,
         delta=delta,
@@ -247,10 +251,11 @@ def _interference_phi(omega: float, d: float, params: NetworkParams):
     return phi
 
 
-# Points per distance-averaged factor pass (one row of the default 2D grid):
-# the exp-sinh rule's intermediates hold three real values per node, point
-# and mixture term, about 0.86 MB per term here (tracemalloc peak), where one
-# pass over all 18,721 grid points would take about 84 MB per term.
+# Points per distance-averaged factor pass: the exp-sinh rule's intermediates
+# hold three real values per node, point and mixture term, about 0.86 MB per
+# term here (tracemalloc peak).  The near user's conditioned joint hands the
+# factor 27 contour points per z node, 2,646 on its first call over two
+# pieces, which would take about 12 MB per term in one pass.
 _FACTOR_CHUNK = 193
 
 
@@ -458,20 +463,244 @@ def _near_joint_transform(eff: EffectiveChannel, pair: PairConfig, phi):
     return F
 
 
+# The conditioned joint's z quadrature: tanh-sinh in v = Phi(z / sd) on
+# |t| <= 3 (the weights there are below 2e-12 of the piece), from step
+# 1/4 halving with nested nodes to at most 1/64 until two levels agree
+# within `_Z_TOL`; z is clipped to `_Z_CLIP` standard deviations (beyond
+# them lies 1.9e-17 of its mass).  A conditional eigenvalue below
+# `_NULL_RTOL` of the largest counts as 0.
+_Z_STEP, _Z_LEVELS, _Z_TOL, _Z_CLIP = 0.25, 4, 1e-8, 8.5
+_NULL_RTOL = 1e-12
+# The inner inversions' Euler orders, in the order they are tried, and the
+# largest move of a node's Euler sum, when its averaging order drops by one,
+# that stops the ladder (`_ConditionedJoint._given`).
+_INNER_ORDERS = (Inversion1DConfig(), Inversion1DConfig(m_euler=20, q=60),
+                 Inversion1DConfig(m_euler=40, q=200),
+                 Inversion1DConfig(m_euler=80, q=400))
+_INNER_TOL = 1e-6
+
+
+def _tanh_sinh_level(level: int):
+    """(side, gap, weight) of the tanh-sinh nodes that `level` adds: at
+    step h = `_Z_STEP` 2^-level, t = j h with |t| <= 3 (odd j past level
+    0), node x = tanh(pi/2 sinh t) on [-1, 1] at distance gap = 1 - |x| from
+    the end on `side` (-1 for t <= 0, +1 otherwise), weight
+    h pi/2 cosh t / cosh^2(pi/2 sinh t)."""
+    h = _Z_STEP / 2 ** level
+    j = np.arange(-round(3.0 / h), round(3.0 / h) + 1)
+    t = h * (j if level == 0 else j[j % 2 == 1])
+    u = 0.5 * math.pi * np.sinh(t)
+    gap = 2.0 / (np.exp(2.0 * np.abs(u)) + 1.0)
+    return (np.where(t > 0, 1, -1), gap,
+            h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
+
+
+def _tanh_sinh_batch(levels):
+    """(side, gap, ((nodes, weight), ...)): the nodes of `levels`, which
+    one call evaluates, and each level's slice of them with its weights."""
+    rules = [_tanh_sinh_level(level) for level in levels]
+    ends = np.cumsum([0] + [len(rule[0]) for rule in rules])
+    return (np.concatenate([rule[0] for rule in rules]),
+            np.concatenate([rule[1] for rule in rules]),
+            tuple((slice(a, b), rule[2])
+                  for a, b, rule in zip(ends, ends[1:], rules)))
+
+
+# The first call evaluates both levels of the first comparison.
+_Z_RULE = (_tanh_sinh_batch((0, 1)),
+           *(_tanh_sinh_batch((level,)) for level in range(2, _Z_LEVELS + 1)))
+
+
+def _below(q2: float, q1: float, q0: float):
+    """The open interval where q2 z^2 + q1 z + q0 < 0 (q2 > 0), or None."""
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if disc <= 0.0:
+        return None
+    r = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+    return tuple(sorted((r / q2, q0 / r)))
+
+
+class _ConditionedJoint:
+    """Joint success probability of the near user's two stages, by
+    conditioning on one real Gaussian.
+
+    Q_own = ||x + b||^2 (b = mu with the own entry 0) and
+    Q_sic = Q_own + 2 beta_k2 Z + beta_k2^2 |mu_k|^2, where
+    Z = Re(mu_k^* x_k) and x ~ CN(0, Sigma) is the filtered error.  Given
+    Z = z, x is a real Gaussian of rank 2K - 1 at most (Anderson, An
+    Introduction to Multivariate Statistical Analysis, 2003, sec. 2.5),
+    so both stages succeed when Q_own(z) + I <= T(z) =
+    min(A_own, A_sic - 2 beta_k2 z) - c(z), where A_sic is the SIC
+    threshold less beta_k2^2 |mu_k|^2 and c(z), a convex quadratic in z,
+    is the form's part along the zero-variance directions of the
+    conditional law (always the direction of Z itself, which gives
+    z^2 / |mu_k|^2).  The rest of Q_own(z) is a real noncentral form with
+    the link's conditional eigenvalues, inverted in 1D at T(z).
+
+    T is concave, so {T > 0} is one interval; it is split where the min
+    switches, clipped to `_Z_CLIP` sd, and each piece integrated by
+    tanh-sinh in v = Phi(z / sd) (Takahasi & Mori, Publ. RIMS 1974), both
+    v and 1 - v carried to full precision.  The step halves until two
+    levels agree (`_Z_RULE`); a level's nodes, on all pieces, are one
+    batched `invert_1d` at the default `Inversion1DConfig`, and the nodes
+    whose Euler sum is not settled there go up `_INNER_ORDERS`.  Built
+    once per link: only the thresholds depend on the rates.  Without a Z
+    (sd 0: mu_k = 0 or no error along it) the joint is the own-message
+    form at min(A_own, A_sic).
+    """
+
+    def __init__(self, eff: EffectiveChannel, beta_k2: float):
+        # imported on first use: `statistics` loads `decimal` and
+        # `fractions`, 7-10 ms that `import nomacell` need not pay
+        from statistics import NormalDist
+        self.inv_cdf = NormalDist().inv_cdf
+        k = eff.stream
+        self.slope = 2.0 * beta_k2
+        self.shift = beta_k2 ** 2 * eff.own_gain2
+        self.eff = eff
+        # real coordinates (Re, Im) of the eigenbasis chi = Psi^H x, where
+        # Z = g . chi and b sits at n
+        g = eff.mu[k] * eff.Psi[k, :].conj()
+        nu = eff.Psi.conj().T @ np.where(np.arange(eff.K) == k, 0.0, eff.mu)
+        var = 0.5 * np.concatenate([eff.delta, eff.delta])
+        g, n = (np.concatenate([v.real, v.imag]) for v in (g, nu))
+        self.sd = math.sqrt(float(var @ (g * g)))
+        if self.sd == 0.0:
+            return
+        root = np.sqrt(var)
+        h = root * g / self.sd
+        cov = np.outer(root, root) * (np.eye(len(var)) - np.outer(h, h))
+        lam, W = np.linalg.eigh(cov)
+        # each eigen-coordinate's mean is a z + b
+        a, b = W.T @ (var * g / self.sd ** 2), W.T @ n
+        null = lam <= _NULL_RTOL * max(lam.max(), 0.0)
+        self.c = (float(a[null] @ a[null]), 2.0 * float(a[null] @ b[null]),
+                  float(b[null] @ b[null]))
+        self.lam2, self.a, self.b = 2.0 * lam[~null], a[~null], b[~null]
+
+    def __call__(self, tau_sic: float, tau_own: float, phi) -> float:
+        A_sic = tau_sic - self.shift
+        if self.sd == 0.0:
+            tau = min(tau_own, A_sic)
+            if tau <= 0.0:
+                return 0.0
+            eff = self.eff
+            return invert_1d(_quadform_transform_1d(
+                _projected_mean(eff, 0.0), eff.delta, phi), tau)
+        c2, c1, c0 = self.c
+        own = _below(c2, c1, c0 - tau_own)
+        sic = _below(c2, c1 + self.slope, c0 - A_sic)
+        if own is None or sic is None:
+            return 0.0
+        lo = max(own[0], sic[0], -_Z_CLIP * self.sd)
+        hi = min(own[1], sic[1], _Z_CLIP * self.sd)
+        if not lo < hi:
+            return 0.0
+        switch = (A_sic - tau_own) / self.slope
+        cuts = [lo, switch, hi] if lo < switch < hi else [lo, hi]
+        # (v, 1 - v) = (Phi, 1 - Phi)(z / sd) at the cuts, each to full
+        # relative precision, and each piece's half-width in v from
+        # whichever of the two is accurate
+        x = np.array(cuts) / (self.sd * math.sqrt(2.0))
+        ends = 0.5 * np.array([[math.erfc(-t), math.erfc(t)] for t in x])
+        lo, hi = ends[:-1, None, :], ends[1:, None, :]
+        r = 0.5 * np.where(lo[:, :, 0] < 0.5, hi[:, :, 0] - lo[:, :, 0],
+                           lo[:, :, 1] - hi[:, :, 1])
+        total, level = 0.0, 0
+        for side, gap, levels in _Z_RULE:
+            # each node from the end on its side: v = end -+ r gap
+            end = np.where(side[:, None] < 0, lo, hi)
+            d = side * (r * gap)
+            v, cv = end[..., 0] - d, end[..., 1] + d
+            tail = np.minimum(v, cv).ravel().tolist()
+            z = np.array([self.inv_cdf(p) for p in tail])
+            z *= np.where(v <= cv, self.sd, -self.sd).ravel()
+            f = self._given(z, A_sic, tau_own, phi).reshape(v.shape)
+            for nodes, weight in levels:
+                added = float(np.sum(r * weight * f[:, nodes]))
+                previous, total = total, 0.5 * total + added
+                if level and abs(total - previous) <= _Z_TOL:
+                    return total
+                level += 1
+        return total
+
+    def _given(self, z: np.ndarray, A_sic: float, tau_own: float, phi):
+        """Success probability of the own-message form given each Z = z.
+
+        Each node is inverted at the first of `_INNER_ORDERS` where its
+        Euler sum moves by at most `_INNER_TOL` when the averaging order
+        drops by one (the last order is taken as it is): a form that
+        concentrates far within its threshold needs more terms.
+        """
+        c2, c1, c0 = self.c
+        tau = (np.minimum(tau_own, A_sic - self.slope * z)
+               - ((c2 * z + c1) * z + c0))
+        out = np.zeros_like(z)
+        todo = np.flatnonzero(tau > 0.0)
+        for cfg in _INNER_ORDERS:
+            if not todo.size:
+                break
+            values = []
+            out[todo] = invert_1d(self._transform(z[todo], phi, values),
+                                  tau[todo], cfg)
+            if cfg is not _INNER_ORDERS[-1]:
+                moved = _euler_spread(values[0], tau[todo], cfg)
+                todo = todo[moved > _INNER_TOL]
+        return out
+
+    def _transform(self, z: np.ndarray, phi, values: list):
+        """The success transform of the own-message form given each Z = z,
+        one row per node; it appends what it returns to `values`."""
+        # (component, node, contour point) layout: the sums over the few
+        # components add whole planes
+        lam = self.lam2[:, None, None]
+        zeta2 = ((np.multiply.outer(self.a, z) + self.b[:, None])
+                 ** 2)[..., None]
+
+        def F(s):
+            # F = exp(-sum_j zeta2_j s / d_j) / (s prod_j sqrt(d_j)) phi(s),
+            # d_j = 1 + lam_j s, in real arithmetic: with s = x + iy,
+            # s / d = (x + lam |s|^2 + iy) / |d|^2 and arg d in [0, pi/2)
+            x, y = s.real, s.imag
+            re = lam * x
+            re += 1.0
+            im = lam * y
+            angle = np.arctan2(im, re).sum(axis=0)
+            re *= re
+            im *= im
+            re += im
+            w = zeta2 / re
+            part = np.empty((2,) + s.shape)
+            u, half_v = part
+            np.multiply(x * x + y * y, (w * lam).sum(axis=0), out=u)
+            w = w.sum(axis=0)
+            u += x * w
+            u += 0.25 * np.log(re).sum(axis=0)
+            np.negative(u, out=u)
+            np.multiply(y, -0.5 * w, out=half_v)
+            half_v -= 0.25 * angle
+            out = np.empty(s.shape, dtype=complex)
+            _exp_polar(u, half_v, out.real, out.imag)
+            out /= s
+            if phi is not None:
+                out *= phi(s.ravel()).reshape(s.shape)
+            values.append(out)
+            return out
+
+        return F
+
+
 class _NearJoint:
     """Near-user outage of one link as a function of (R_k, R_kt).
 
     `_outage` decides every rate pair; this keeps only what the rates do
     not change: the user's (noise, phi) from `_user_law`, conditional or
-    averaged over `policy`, the link's 2D transform of the joint (SIC,
-    own-message) success event with that factor, built on first use and
-    handed the s + t lattice where there is a factor, and its most
-    recently used transform grids (`invert_2d`'s `grids`).  Rates whose
-    abscissae fall on the same period-ladder rungs share a grid, and the
-    value is bit-identical to a fresh evaluation.  The joint inversion, at
-    `cfg` (which only `near_outage_conditional_exact` passes; the default
-    `Inversion2DConfig` otherwise), reaches `_outage` as its `joint`; the
-    stages' 1D marginals use the default `Inversion1DConfig`.
+    averaged over `policy`, and the link's `_ConditionedJoint`, built on
+    first use, whose joint success probability of the (SIC, own-message)
+    stages reaches `_outage` as its `joint`.  With a `cfg` (which only
+    `near_outage_conditional_exact` passes) the joint is instead the 2D
+    inversion of the link's joint transform at that `Inversion2DConfig`,
+    the independent reference route.
     """
 
     def __init__(self, eff: EffectiveChannel, pair: PairConfig,
@@ -481,20 +710,23 @@ class _NearJoint:
         self.eff, self.pair, self.cfg = eff, pair, cfg
         self.noise, self.phi = _user_law(eff, pair, params, False, policy,
                                          interference_limited)
-        self.transform = None
-        self.grids: dict = {}
+        self.conditioned = None
 
     def __call__(self, R_k: float, R_kt: float) -> OutageResult:
         eff, pair = self.eff, self.pair.with_rates(R_k, R_kt)
         theta_sic, theta_own = _near_abscissae(eff, pair, self.noise)
+        stages = _near_stages(eff, pair, theta_sic, theta_own)
 
         def joint():
-            if self.transform is None:
-                self.transform = _near_joint_transform(eff, pair, self.phi)
-            return invert_2d(self.transform, theta_sic, theta_own, self.cfg,
-                             grids=self.grids, lattice=self.phi is not None)
+            if self.cfg is not None:
+                return invert_2d(_near_joint_transform(eff, pair, self.phi),
+                                 theta_sic, theta_own, self.cfg,
+                                 lattice=self.phi is not None)
+            if self.conditioned is None:
+                self.conditioned = _ConditionedJoint(eff, pair.beta_k2)
+            (_, tau_sic), (_, tau_own) = stages
+            return self.conditioned(tau_sic, tau_own, self.phi)
 
-        stages = _near_stages(eff, pair, theta_sic, theta_own)
         return _outage(eff, pair, stages, self.phi, None, joint)
 
 
@@ -502,7 +734,12 @@ def near_outage_conditional_exact(eff: EffectiveChannel, pair: PairConfig,
                                   params: NetworkParams,
                                   cfg: Inversion2DConfig | None = None
                                   ) -> OutageResult:
-    """Near-user outage of the joint (SIC, own-message) success event."""
+    """Near-user outage of the joint (SIC, own-message) success event.
+
+    Evaluated by conditioning on one real Gaussian (`_ConditionedJoint`);
+    an explicit `cfg` evaluates it by the 2D inversion at that
+    `Inversion2DConfig` instead, the independent reference route.
+    """
     return _NearJoint(eff, pair, params, cfg)(pair.R_k, pair.R_kt)
 
 
@@ -540,10 +777,9 @@ def near_outage_average(eff: EffectiveChannel, pair: PairConfig,
                         interference_limited: bool = False) -> OutageResult:
     """Near-user outage averaged over the policy's serving-distance law.
 
-    The same joint evaluation as `near_outage_conditional_exact`, at the
-    default `Inversion2DConfig`, with the distance-averaged factor of s + t
-    in place of the conditional one; the joint transform evaluates it once
-    per distinct s + t.
+    The same conditioned joint evaluation as
+    `near_outage_conditional_exact`, with the distance-averaged factor in
+    place of the conditional one in each inner 1D inversion.
     """
     joint = _NearJoint(eff, pair, params, policy=policy,
                        interference_limited=interference_limited)

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -161,7 +160,7 @@ class TestInterferenceCoefficient:
     def test_against_independent_gamma(self):
         params = NetworkParams(alpha=3.5, rho_I=10 ** 1.5 / 1000, P=0.1)
         u = np.array([math.sqrt(0.7), 0.0])
-        want = float(mpmath.gamma(1 - 2 / 3.5)) * (
+        want = math.gamma(1 - 2 / 3.5) * (
             params.rho_I / params.P * 0.7) ** (2 / 3.5)
         assert _interference_coefficient(u, params) == pytest.approx(want, rel=1e-12)
 

@@ -151,9 +151,9 @@ def _phase_weighted_sum_grid(F, theta1, theta2, periods, cfg):
 
 def _near_user_sums(monkeypatch, lambda_b, preset):
     """The network parameters and, for every trapezoid sum the near user's
-    exact outage makes on a preset's links, (grid, theta1, theta2, periods,
-    link): fig1's link over its six rates, fig7's four channel qualities at
-    three rates each."""
+    exact outage makes by the 2D route on a preset's links, (grid, theta1,
+    theta2, periods, link): fig1's link over its six rates, fig7's four
+    channel qualities at three rates each."""
     params = NetworkParams(lambda_b=lambda_b)
     if preset == "fig1":
         cases = [(20.0, r) for r in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)]
@@ -171,7 +171,8 @@ def _near_user_sums(monkeypatch, lambda_b, preset):
         link = build_scenario(params, PairConfig(R_k=2 * r, R_kt=r),
                               kappa=0.9, k_factor_db=kdb,
                               seed=20240717).link(1)
-        near_outage_conditional_exact(link.eff_near, link.pair, params)
+        near_outage_conditional_exact(link.eff_near, link.pair, params,
+                                      Inversion2DConfig())
     monkeypatch.undo()
     return params, sums
 
@@ -231,7 +232,8 @@ class TestInvert2D:
                  for r in (0.5, 1.5)]
 
         def near_all():
-            return [near_outage_conditional_exact(lk.eff_near, lk.pair, params)
+            return [near_outage_conditional_exact(lk.eff_near, lk.pair, params,
+                                                  Inversion2DConfig())
                     for lk in links]
 
         batched = near_all()
@@ -262,34 +264,6 @@ class TestInvert2D:
     def test_rejects_nonpositive_abscissae(self):
         with pytest.raises(ValueError):
             invert_2d(lambda s, t: 1 / (s * t), -1.0, 1.0)
-
-    def test_stored_grids_give_the_same_bits(self):
-        # abscissae on one ladder rung share a grid; the dict keeps the most
-        # recently used grid last
-        calls = []
-
-        def F(s, t):
-            calls.append(s.shape)
-            return 1 / (s * t * (1 + s + t))
-
-        grids = {}
-        points = [(1.0, 2.0), (0.9, 1.9), (3.0, 2.0), (0.95, 1.8)]
-        for point in points:
-            cached = invert_2d(F, *point, grids=grids)
-            assert _same_bits(cached, invert_2d(F, *point))
-        assert len(calls) == 2 * len(points) - 2
-        assert len(grids) == 2
-        assert next(reversed(grids))[2:] == Inversion2DConfig().resolve(1.0, 2.0)
-
-        # more rungs than the dict holds: the least recently used go first
-        rungs = [(2.0 ** (0.5 * j), 2.0) for j in range(laplace._MAX_GRIDS + 3)]
-        for point in rungs:
-            cached = invert_2d(F, *point, grids=grids)
-            assert _same_bits(cached, invert_2d(F, *point))
-        assert len(grids) == laplace._MAX_GRIDS
-        assert [key[2:] for key in grids] == [
-            Inversion2DConfig().resolve(*point)
-            for point in rungs[-laplace._MAX_GRIDS:]]
 
 
 class TestSumGrid:
@@ -336,12 +310,13 @@ class TestSumGrid:
         params = NetworkParams()
         link = build_scenario(params, PairConfig(), kappa=0.9,
                               k_factor_db=20.0, seed=20240717).link(1)
-        joint = outage._NearJoint(link.eff_near, link.pair, params)
-        joint(link.pair.R_k, link.pair.R_kt)
-        (key, grid), = joint.grids.items()
-        periods = key[2:]
-        theta1, theta2 = 0.7 * periods[0], 0.7 * periods[1]
+        _, phi = outage._user_law(link.eff_near, link.pair, params, False)
         cfg = Inversion2DConfig()
+        periods = cfg.resolve(1.0, 1.0, lattice=True)
+        grid = laplace._transform_grid(
+            outage._near_joint_transform(link.eff_near, link.pair, phi),
+            periods, cfg, lattice=True)
+        theta1, theta2 = 0.7 * periods[0], 0.7 * periods[1]
         laplace._sum_grid(grid, theta1, theta2, periods, cfg)
         tracemalloc.start()
         try:
@@ -461,48 +436,51 @@ class TestFactorLattice:
         with pytest.raises(ValueError, match="lattice keys"):
             view(factor(make_u()))
 
-    def test_constant_factor_keeps_the_plain_ladder(self):
+    def test_constant_factor_keeps_the_plain_ladder(self, monkeypatch):
         # an odd rung difference, which the lattice rule would raise: a
         # transform without factor keeps the plain periods
         theta1, theta2 = 2.0 ** 1.5, 1.0
         cfg = Inversion2DConfig()
         assert cfg.resolve(theta1, theta2) != cfg.resolve(theta1, theta2,
                                                           lattice=True)
-        grids = {}
-        invert_2d(_coupled_form, theta1, theta2, grids=grids)
-        assert [key[2:] for key in grids] == [cfg.resolve(theta1, theta2)]
+        summed = []
+        monkeypatch.setattr(laplace, "_sum_grid",
+                            lambda F, t1, t2, periods, cfg: summed.append(
+                                periods) or 0.0)
+        invert_2d(_coupled_form, theta1, theta2)
+        assert summed == [cfg.resolve(theta1, theta2)]
 
     @pytest.mark.parametrize("R_kt, bits", [(1.74, "0x1.d456ce22fcf8ap-1"),
                                             (1.72, "0x1.a4343347b4000p-15")])
     def test_interference_free_near_user_keeps_its_bits(self, monkeypatch,
                                                         R_kt, bits):
-        # at lambda_b = 0 the near user's inversion runs without a factor,
-        # on the plain periods (the fig6 points, whose rungs differ by an
-        # odd count), and gives pinned bits.  These points amplify rounding
-        # by about 2e9: the sum over the phase-weighted grid copy moves the
-        # raw value by 1.4e-6 at 1.74 and 4.5e-7 at 1.72 on the same grid.
+        # at lambda_b = 0 the near user's 2D inversion runs without a
+        # factor, on the plain periods (the fig6 points, whose rungs differ
+        # by an odd count), and gives pinned bits.  These points amplify
+        # rounding by about 2e9: the sum over the phase-weighted grid copy
+        # moves the raw value by 1.4e-6 at 1.74 and 4.5e-7 at 1.72 on the
+        # same grid.
         params = NetworkParams(lambda_b=0.0)
         link = build_scenario(params, PairConfig(R_k=2 * R_kt, R_kt=R_kt),
                               kappa=0.9, k_factor_db=50.0,
                               seed=20240717).link(1)
         calls = []
 
-        def recording(transform, theta1, theta2, config=None, grids=None,
-                      lattice=False):
-            calls.append((theta1, theta2, lattice, grids))
-            return invert_2d(transform, theta1, theta2, config, grids, lattice)
+        def recording(transform, theta1, theta2, config=None, lattice=False):
+            calls.append((transform, theta1, theta2, lattice))
+            return invert_2d(transform, theta1, theta2, config, lattice)
 
         monkeypatch.setattr(outage, "invert_2d", recording)
-        got = near_outage_conditional_exact(link.eff_near, link.pair, params)
-        (theta1, theta2, lattice, grids), = calls
-        assert lattice is False
         cfg = Inversion2DConfig()
-        assert [key[2:] for key in grids] == [cfg.resolve(theta1, theta2)]
-        assert cfg.resolve(theta1, theta2) != cfg.resolve(theta1, theta2,
-                                                          lattice=True)
+        got = near_outage_conditional_exact(link.eff_near, link.pair, params,
+                                            cfg)
+        (transform, theta1, theta2, lattice), = calls
+        assert lattice is False
+        periods = cfg.resolve(theta1, theta2)
+        assert periods != cfg.resolve(theta1, theta2, lattice=True)
         assert got.raw.hex() == bits
-        (key, grid), = grids.items()
-        want = 1.0 - _phase_weighted_sum_grid(grid, theta1, theta2, key[2:],
+        grid = laplace._transform_grid(transform, periods, cfg)
+        want = 1.0 - _phase_weighted_sum_grid(grid, theta1, theta2, periods,
                                               cfg)
         assert abs(got.raw - want) <= 5e-6
 

@@ -15,7 +15,7 @@ from nomacell import (ChannelEstimate, GroupingPolicy, Inversion1DConfig,
                       near_outage_average,
                       near_outage_conditional_approx, near_outage_conditional_exact,
                       sample_channel_matrix, single_stream_outage_conditional)
-from nomacell import laplace, outage
+from nomacell import design, laplace, maximize_goodput, outage
 from nomacell.outage import (_far_stage, _near_abscissae, _projected_mean,
                              _quadform_transform_1d)
 
@@ -300,6 +300,63 @@ def test_near_exact_matches_high_order_inversion(lambda_b):
         assert abs(got.raw - want.raw) <= 1e-6, (kdb, kappa, pair)
 
 
+def _scaled_transforms(monkeypatch, scale):
+    """Every 1D inversion the outage operators make sees its transform's
+    values multiplied by `scale`."""
+    invert = laplace.invert_1d
+    monkeypatch.setattr(outage, "invert_1d", lambda F, tau, cfg=None: invert(
+        lambda s: F(s) * scale, tau, cfg))
+
+
+@pytest.mark.parametrize("R_kt", [1.72, 1.74])
+def test_interference_free_near_joint_does_not_amplify_rounding(monkeypatch,
+                                                                R_kt):
+    # the fig6 points at lambda_b = 0, 50 dB: a last-bit change of the
+    # conditional transform moves p_near by at most 1e-9 (the 2D route
+    # moved it by 5.2e-7 to 2.0e-6 at 1.74)
+    params = NetworkParams(lambda_b=0.0)
+    link = build_scenario(params, PairConfig(R_k=2 * R_kt, R_kt=R_kt),
+                          kappa=0.9, k_factor_db=50.0, seed=20240717).link(1)
+    base = near_outage_conditional_exact(link.eff_near, link.pair, params).raw
+    for scale in (1 + 1e-15, 1 - 1e-15):
+        _scaled_transforms(monkeypatch, scale)
+        moved = near_outage_conditional_exact(link.eff_near, link.pair,
+                                              params).raw
+        assert abs(moved - base) <= 1e-9
+
+
+def test_optimizer_near_values_do_not_amplify_rounding(monkeypatch):
+    # every near-user value the goodput optimizer evaluates on the fig7
+    # 40 dB aligned link at lambda_b = 1e-7, where the 2D route's sums
+    # moved by up to 7.7e-3 with rounding: a last-bit change of the
+    # conditional transform moves none by more than 1e-9 (1.4e-12 measured
+    # over the eight fig7 links)
+    params = NetworkParams(lambda_b=1e-7)
+    link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=40.0,
+                          seed=20240717).link(1)
+    used, factory = {}, design._NearJoint
+
+    def recording(*args):
+        evaluate = factory(*args)
+
+        def call(R_k, R_kt):
+            res = evaluate(R_k, R_kt)
+            used[R_k, R_kt] = res.raw
+            return res
+
+        return call
+
+    monkeypatch.setattr(design, "_NearJoint", recording)
+    maximize_goodput(link, 1e-2, params)
+    monkeypatch.undo()
+    assert len(used) > 100
+    for scale in (1 + 1e-15, 1 - 1e-15):
+        _scaled_transforms(monkeypatch, scale)
+        evaluate = outage._NearJoint(link.eff_near, link.pair, params)
+        for (R_k, R_kt), raw in used.items():
+            assert abs(evaluate(R_k, R_kt).raw - raw) <= 1e-9, (R_k, R_kt)
+
+
 class TestAverageOutage:
     def test_interference_limited_lambda_free(self, table_pair):
         # with sigma2 = 0 the averaged outage is independent of the BS
@@ -570,7 +627,7 @@ def _joint_transform_reference(eff, pair):
     (2, 3, 2, 0.0, False, 50.0, (1.74,))])
 def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
                                                 average, kdb, rates):
-    # on the grids invert_2d builds, for every pair (so the own stream is
+    # on the grids the 2D route builds, for every pair (so the own stream is
     # not always the first) and on the average's periods.  Without
     # interference the per-node loop runs and matches the plain loop to
     # rounding (their exps differ); with it the per-key form runs, and
@@ -606,11 +663,10 @@ def test_joint_transform_matches_broadcast_form(monkeypatch, K, M, N, lambda_b,
     monkeypatch.setattr(outage, "_near_joint_transform", recording)
     for link in sc.links[:1] if average else sc.links:
         for r in rates:
-            pair = link.pair.with_rates(R_k=2 * r, R_kt=r)
-            if average:
-                near_outage_average(link.eff_near, pair, params, _RANDOM)
-            else:
-                near_outage_conditional_exact(link.eff_near, pair, params)
+            # the 2D route, at the default orders
+            outage._NearJoint(link.eff_near, link.pair, params,
+                              Inversion2DConfig(),
+                              policy=_RANDOM if average else None)(2 * r, r)
     assert grids and all(got.shape == (97, 193) for _, got, _, _ in grids)
     paths = {path for path, _, _, _ in grids}
     assert paths == {"per_node" if lambda_b == 0.0 else "lattice"}
@@ -711,7 +767,7 @@ def test_lattice_form_matches_per_node_form_times_factor(K, M, N, kdb,
 
 
 def test_fresh_near_exact_evaluation_peaks_below_five_grids():
-    # one warm evaluation on a fresh grid at the fig7 link: the transform
+    # one warm 2D evaluation on a fresh grid at the fig7 link: the transform
     # takes its lattice form, which builds the grid in place from per-key
     # values, and the trapezoid sum forms its row sums in place, so the
     # peak stays below five grid-sized complex arrays (97 x 193 x 16 B
@@ -719,10 +775,11 @@ def test_fresh_near_exact_evaluation_peaks_below_five_grids():
     params = NetworkParams()
     link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
                           seed=20240717).link(1)
-    near_outage_conditional_exact(link.eff_near, link.pair, params)
+    cfg = Inversion2DConfig()
+    near_outage_conditional_exact(link.eff_near, link.pair, params, cfg)
     tracemalloc.start()
     try:
-        near_outage_conditional_exact(link.eff_near, link.pair, params)
+        near_outage_conditional_exact(link.eff_near, link.pair, params, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -782,22 +839,19 @@ def _forwarding(factory):
                                               (1e-5, _RANDOM)])
 def test_forwarded_near_transform_keeps_its_bits(monkeypatch, lambda_b,
                                                  policy):
-    # conditional links and a `near_outage_average` transform: behind a
+    # conditional links and an averaged transform on the 2D route: behind a
     # forwarding wrapper the transform still gets the s + t lattice, so the
-    # values and the stored grids keep their bits
+    # values keep their bits
     params = NetworkParams(lambda_b=lambda_b)
     link = build_scenario(params, PairConfig(), kappa=0.9, k_factor_db=20.0,
                           seed=20240717).link(1)
 
     def evaluate():
         joint = outage._NearJoint(link.eff_near, link.pair, params,
-                                  policy=policy)
-        raws = [joint(2 * r, r).raw.hex() for r in (0.25, 0.5, 1.0)]
-        return raws, [(key, grid.tobytes())
-                      for key, grid in joint.grids.items()]
+                                  Inversion2DConfig(), policy=policy)
+        return [joint(2 * r, r).raw.hex() for r in (0.25, 0.5, 1.0)]
 
     plain = evaluate()
-    assert plain[1]
     monkeypatch.setattr(outage, "_near_joint_transform",
                         _forwarding(outage._near_joint_transform))
     assert evaluate() == plain
@@ -812,10 +866,11 @@ def test_forwarded_near_transform_keeps_its_lattice_bits(theta1):
                           seed=20240717).link(1)
     _, phi = outage._user_law(link.eff_near, link.pair, params, False)
     F = outage._near_joint_transform(link.eff_near, link.pair, phi)
+    cfg = Inversion2DConfig()
+    periods = cfg.resolve(theta1, 1.0, lattice=True)
     runs = []
     for transform in (F, _forwarding(lambda: F)()):
-        grids = {}
-        value = invert_2d(transform, theta1, 1.0, grids=grids, lattice=True)
-        runs.append((value.hex(), [(key, grid.tobytes())
-                                   for key, grid in grids.items()]))
+        grid = laplace._transform_grid(transform, periods, cfg, lattice=True)
+        value = invert_2d(transform, theta1, 1.0, lattice=True)
+        runs.append((value.hex(), grid.tobytes()))
     assert runs[0] == runs[1]
