@@ -212,19 +212,28 @@ def _score_candidates(near: np.ndarray, far: np.ndarray, cols: np.ndarray,
 
 
 def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
-                     share: float = 1.0) -> float:
+                     share: float = 1.0, lo: float = 0.0) -> float:
     """Largest rate in (0, hi] with p(rate) <= epsilon (p nondecreasing).
 
     ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2021) for the root of
     g = p - epsilon, taking g(0) = -epsilon without evaluating 0: a
     regula-falsi step, truncated and projected so that the bracket after j
     steps is at most hi 2^(_ITP_N0 - j); a step onto a bracket end takes the
-    midpoint.  Stops at a bracket within `_CAP_RTOL` of its upper end, or
-    after `_CAP_ITERS` evaluations below hi.  Rates decode at R / `share`;
-    a probe whose threshold 2^(R / share) - 1 rounds to 0 decodes as rate
-    0 and gives way to the midpoint, and once the midpoint does too the
-    search ends.  Returns hi, the largest rate it evaluated with
-    p <= epsilon, or 0 when it found none.
+    midpoint.  The regula-falsi point takes the Illinois step (Dowell &
+    Jarratt, BIT 11, 1971): when two steps in a row replace the same end,
+    the other end's value in the interpolant is halved, and halved again
+    at each further such step until an evaluation replaces that end, the
+    virtual g(0) included.  So a convex p cannot pin the point to one side
+    of the root.  When the halved values put that point on a rate that
+    decodes as 0 (below), the unhalved point is taken.  A lower end
+    0 < `lo` < hi is evaluated after hi and starts the bracket when
+    p(lo) <= epsilon; otherwise the bracket starts at 0.  Stops at a
+    bracket within `_CAP_RTOL` of its upper end, or after `_CAP_ITERS`
+    evaluations below hi.  Rates decode at R / `share`; a probe whose
+    threshold 2^(R / share) - 1 rounds to 0 decodes as rate 0 and gives
+    way to the midpoint, and once the midpoint does too the search ends.
+    Returns hi, the largest rate it evaluated with p <= epsilon, or 0 when
+    it found none.
     """
     def as_zero(R):
         return _inv_snr_gap(R / share) == math.inf
@@ -235,12 +244,20 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
     if g_b <= 0.0:
         return hi
     a, b, g_a = 0.0, hi, -epsilon
+    if 0.0 < lo < hi:
+        g_lo = p_of_rate(lo) - epsilon
+        if g_lo <= 0.0:
+            a, g_a = lo, g_lo
+    # interpolation values of the ends, and the end the last step replaced
+    f_a, f_b, moved = g_a, g_b, None
     for j in range(_CAP_ITERS):
         width = b - a
         if width <= _CAP_RTOL * b:
             break
         mid = 0.5 * (a + b)
-        x_f = (a * g_b - b * g_a) / (g_b - g_a)
+        x_f = (a * f_b - b * f_a) / (f_b - f_a)
+        if as_zero(x_f):
+            x_f = (a * g_b - b * g_a) / (g_b - g_a)
         sigma = math.copysign(1.0, mid - x_f)
         delta = _ITP_K1 * width ** _ITP_K2 / hi
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
@@ -252,9 +269,15 @@ def _bisect_rate_cap(p_of_rate, epsilon: float, hi: float,
             break
         g = p_of_rate(x) - epsilon
         if g <= 0.0:
-            a, g_a = x, g
+            a, g_a, f_a = x, g, g
+            if moved == "a":
+                f_b *= 0.5
+            moved = "a"
         else:
-            b, g_b = x, g
+            b, g_b, f_b = x, g, g
+            if moved == "b":
+                f_a *= 0.5
+            moved = "b"
     return a
 
 
@@ -306,7 +329,10 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     the near-cap boundary and in R_k alone, both lose goodput.  Otherwise
     `_box_search` certifies the optimum to `_BOX_RTOL` over the box
     [0, near cap at a vanishing R_kt] x [0, corner R_kt], which holds every
-    feasible pair.  The near-user constraint is the exact joint outage: the
+    feasible pair.  The first probe's near cap starts its bracket at the
+    corner's R_k, which meets epsilon at the smaller R_kt wherever p_near
+    rises in R_kt; where it does not, that search starts from 0.  The
+    near-user constraint is the exact joint outage: the
     decorrelated approximation double-charges the interference budget of
     the two SIC stages and can push the solution far off the true feasible
     boundary.  At epsilon = 1 neither outage is constrained, so the search
@@ -331,8 +357,9 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     near_exact = _NearJoint(link.eff_near, pair0, params)
     p_near = functools.cache(lambda *rates: near_exact(*rates).probability)
 
-    def near_cap(R_kt):
-        return _bisect_rate_cap(lambda R: p_near(R, R_kt), epsilon, _RATE_MAX)
+    def near_cap(R_kt, lo=0.0):
+        return _bisect_rate_cap(lambda R: p_near(R, R_kt), epsilon, _RATE_MAX,
+                                lo=lo)
 
     def goodput(R_k, R_kt):
         return R_k * (1.0 - p_near(R_k, R_kt)) + R_kt * (1.0 - p_far(R_kt))
@@ -346,7 +373,7 @@ def maximize_goodput(link: PairLink, epsilon: float, params: NetworkParams,
     R_k = near_cap(R_kt)
     g = goodput(R_k, R_kt)
     back = R_kt * (1.0 - _CORNER_STEP)
-    if (goodput(near_cap(back), back) >= g
+    if (goodput(near_cap(back, R_k), back) >= g
             or goodput(R_k * (1.0 - _CORNER_STEP), R_kt) >= g):
         (R_k, R_kt), g = _box_search(lambda x: (p_near(*x), p_far(x[1])),
                                      epsilon, (near_cap(1e-9), R_kt),

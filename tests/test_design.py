@@ -349,8 +349,11 @@ class TestGoodput:
 def _cap_curves():
     """Outage curves for the cap search, each with the rate where it
     crosses its epsilon: step edges at 25 log-spaced rates, logistic curves
-    of three relative widths with seeded centres and epsilons, and a curve
-    that meets epsilon at the top of the bracket."""
+    of three relative widths with seeded centres and epsilons, convex
+    powers (R / c)^k of three orders with seeded scales and epsilons, on
+    which the plain regula-falsi point creeps to the root from above (ITP
+    without the Illinois step hits its bound of 48 evaluations on two of
+    them), and a curve that meets epsilon at the top of the bracket."""
     for edge in np.geomspace(1e-3, 63.9, 25):
         yield pytest.param(lambda R, edge=edge: float(R > edge), 0.01, edge,
                            id=f"step-{edge:.4g}")
@@ -364,6 +367,14 @@ def _cap_curves():
                 lambda R, c=centre, w=w: 0.5 + 0.5 * math.tanh((R - c) / (2 * w)),
                 eps, centre + w * math.log(eps / (1.0 - eps)),
                 id=f"logistic-{width:g}-{centre:.4g}")
+    for order in (2, 4, 8):
+        for _ in range(3):
+            scale = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+            eps = math.exp(rng.uniform(math.log(1e-4), math.log(0.3)))
+            yield pytest.param(
+                lambda R, c=scale, k=order: min(1.0, (R / c) ** k),
+                eps, scale * eps ** (1.0 / order),
+                id=f"power-{order}-{scale:.4g}")
     yield pytest.param(lambda R: 1e-3 * R / 64.0, 0.01, math.inf,
                        id="feasible-at-top")
 
@@ -371,16 +382,16 @@ def _cap_curves():
 class TestBisectRateCap:
     HI = 64.0
 
-    def _search(self, p, epsilon):
-        """Cap of the curve `p`, and the (rate, outage) pairs it evaluated
-        below the top of the bracket."""
+    def _search(self, p, epsilon, lo=0.0):
+        """Cap of the curve `p` from the lower end `lo`, and the (rate,
+        outage) pairs it evaluated below the top of the bracket."""
         evaluated = []
 
         def recording(R):
             evaluated.append((R, p(R)))
             return evaluated[-1][1]
 
-        cap = _bisect_rate_cap(recording, epsilon, self.HI)
+        cap = _bisect_rate_cap(recording, epsilon, self.HI, lo=lo)
         return cap, [(R, q) for R, q in evaluated if R < self.HI]
 
     def _max_evaluations(self, edge):
@@ -438,6 +449,32 @@ class TestBisectRateCap:
         cap, evaluated = self._search(lambda R: float(R > 1e-14), 0.01)
         assert 0.0 < cap <= 1e-14
         assert len(evaluated) == design._CAP_ITERS
+
+    def test_feasible_lower_end_starts_the_bracket(self):
+        # the lower end is the first rate evaluated below the top, and no
+        # rate below it is evaluated: 14 evaluations, 21 from 0
+        curve = lambda R: min(1.0, (R / 0.3) ** 4)
+        cold, from_zero = self._search(curve, 0.01)
+        cap, evaluated = self._search(curve, 0.01, 0.05)
+        assert evaluated[0] == (0.05, curve(0.05))
+        assert min(R for R, _ in evaluated) == 0.05
+        assert cap == max(R for R, q in evaluated if q <= 0.01)
+        assert cap == pytest.approx(cold, rel=2 * design._CAP_RTOL)
+        assert len(evaluated) < len(from_zero)
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(lambda R: float(R > 0.2), id="monotone"),
+        # infeasible on a bump around the lower end, as a non-monotone
+        # outage can be, and feasible again above it up to 2
+        pytest.param(lambda R: float(0.9 < R < 1.1 or R > 2.0),
+                     id="non-monotone")])
+    def test_infeasible_lower_end_falls_back_to_zero(self, p):
+        cap, evaluated = self._search(p, 0.01, 1.0)
+        assert evaluated[0] == (1.0, 1.0)
+        assert min(R for R, _ in evaluated) < 1.0
+        assert cap == max(R for R, q in evaluated if q <= 0.01)
+        assert any(cap < R <= cap + design._CAP_RTOL * R
+                   for R, q in evaluated if q > 0.01)
 
 
 def _record_near_evaluations(monkeypatch):
@@ -711,6 +748,30 @@ def test_fig7_links_need_no_box_search(monkeypatch, scheme, k_db):
         assert rates == start == top
 
 
+def test_fig7_searches_take_few_outage_evaluations(monkeypatch):
+    # the pair optimizer and the OMA baseline on the 8 fig7 links: 505
+    # outage evaluations (167 near, 95 far, 243 single-stream), where ITP
+    # without the Illinois step and a probe from 0 took 741
+    params = NetworkParams()
+    near = _record_near_evaluations(monkeypatch)
+    calls = []
+    for name in ("far_outage_conditional", "single_stream_outage_conditional"):
+        def counting(*args, outage_of=getattr(design, name)):
+            calls.append(args)
+            return outage_of(*args)
+
+        monkeypatch.setattr(design, name, counting)
+    total = 0
+    for k_db in (10.0, 20.0, 30.0, 40.0):
+        for scheme in ("aligned", "plain"):
+            link = _fig7_link(params, scheme, k_db)
+            near.clear()
+            maximize_goodput(link, 1e-2, params)
+            baseline_goodput("oma", link, 1e-2, params)
+            total += len(near)
+    assert total + len(calls) <= 560
+
+
 class TestBaselines:
     def test_oma_equal_split_sanity(self):
         # symmetric half split: each user runs at rate/share = 2R and the
@@ -740,8 +801,8 @@ class TestBaselines:
     @pytest.mark.parametrize("scheme", ["aligned", "plain"])
     def test_oma_cap_searches_are_short_on_fig7_links(self, monkeypatch,
                                                       scheme):
-        # the cap search and a short box search settle both users: 34 and
-        # 46 single-stream outages per call
+        # the cap search and a short box search settle both users: 30 and
+        # 31 single-stream outages per call
         params = NetworkParams()
         link = _fig7_link(params, scheme)
         calls, outage_of = [], design.single_stream_outage_conditional

@@ -245,39 +245,65 @@ class TestNearOutage:
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+@lru_cache(maxsize=None)
+def _random_configurations():
+    """20 random (params, effective channel, pair) trials, drawn in order
+    from one seed."""
+    rng = np.random.default_rng(12345)
+    trials = []
+    for _ in range(20):
+        params = NetworkParams(
+            lambda_b=float(rng.choice([0.0, 1e-6, 1e-5, 1e-4])),
+            alpha=float(rng.uniform(2.5, 4.5)),
+            M=3, N=2, K=2)
+        H = sample_channel_matrix(2, 3, 6.0, rng)
+        kappa = float(rng.uniform(0.0, 0.95))
+        est = ChannelEstimate(H, exponential_covariance(3, kappa),
+                              exponential_covariance(2, kappa),
+                              float(10 ** rng.uniform(-4, -1)))
+        V, _ = np.linalg.qr(rng.normal(size=(3, 2))
+                            + 1j * rng.normal(size=(3, 2)))
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        eff = effective_channel(est, V, u, 0, params)
+        R_kt = float(rng.uniform(0.05, 1.2))
+        pair = PairConfig(beta_k2=float(rng.uniform(0.1, 0.45)),
+                          R_k=float(rng.uniform(0.05, 2.5)), R_kt=R_kt,
+                          d_k=float(rng.uniform(20, 200)),
+                          d_kt=float(rng.uniform(60, 400)),
+                          r_k=1, r_kt=2)
+        trials.append((params, eff, pair))
+    return trials
+
+
+_FAR_MISSES = pytest.mark.xfail(strict=True, reason=(
+    "the far user's Euler sum at the default order rings on this trial"
+    " (2.6e-2 and 6.3e-3 off); an order ladder (ROADMAP item 16) has to"
+    " mend it"))
+
+
 class TestRandomizedInvariants:
-    def test_invariants_over_random_configurations(self, rng):
+    @pytest.mark.parametrize("trial", [
+        pytest.param(t, marks=_FAR_MISSES) if t in (2, 3) else t
+        for t in range(20)])
+    def test_invariants_over_random_configurations(self, trial):
         # randomized scenario sweep: probabilities stay clamped, raw values
-        # stay within the inversion budget, and the exact joint outage never
-        # exceeds the stage-independence approximation
-        for trial in range(20):
-            params = NetworkParams(
-                lambda_b=float(rng.choice([0.0, 1e-6, 1e-5, 1e-4])),
-                alpha=float(rng.uniform(2.5, 4.5)),
-                M=3, N=2, K=2)
-            H = sample_channel_matrix(2, 3, 6.0, rng)
-            kappa = float(rng.uniform(0.0, 0.95))
-            est = ChannelEstimate(H, exponential_covariance(3, kappa),
-                                  exponential_covariance(2, kappa),
-                                  float(10 ** rng.uniform(-4, -1)))
-            V, _ = np.linalg.qr(rng.normal(size=(3, 2))
-                                + 1j * rng.normal(size=(3, 2)))
-            u = rng.normal(size=2) + 1j * rng.normal(size=2)
-            eff = effective_channel(est, V, u, 0, params)
-            R_kt = float(rng.uniform(0.05, 1.2))
-            pair = PairConfig(beta_k2=float(rng.uniform(0.1, 0.45)),
-                              R_k=float(rng.uniform(0.05, 2.5)), R_kt=R_kt,
-                              d_k=float(rng.uniform(20, 200)),
-                              d_kt=float(rng.uniform(60, 400)),
-                              r_k=1, r_kt=2)
-            far = far_outage_conditional(eff, pair, params)
-            exact = near_outage_conditional_exact(eff, pair, params)
-            approx = near_outage_conditional_approx(eff, pair, params)
-            for res in (far, exact, approx):
-                assert 0.0 <= res.probability <= 1.0
-                assert -1e-4 <= res.raw <= 1.0 + 1e-4, \
-                    f"raw outside budget in trial {trial}: {res}"
-            assert exact.probability <= approx.probability + 2e-4
+        # stay within the inversion budget and within 1e-4 of Euler at
+        # (80, 400), and the exact joint outage never exceeds the
+        # stage-independence approximation
+        params, eff, pair = _random_configurations()[trial]
+        far = far_outage_conditional(eff, pair, params)
+        exact = near_outage_conditional_exact(eff, pair, params)
+        approx = near_outage_conditional_approx(eff, pair, params)
+        for res in (far, exact, approx):
+            assert 0.0 <= res.probability <= 1.0
+            assert -1e-4 <= res.raw <= 1.0 + 1e-4, res
+        assert exact.probability <= approx.probability + 2e-4
+        reference = Inversion1DConfig(m_euler=80, q=400)
+        for res, operator in ((far, far_outage_conditional),
+                              (approx, near_outage_conditional_approx)):
+            want = operator(eff, pair, params, reference)
+            assert abs(res.raw - want.raw) <= 1e-4, (operator.__name__, res,
+                                                     want)
 
 
 @pytest.mark.parametrize("lambda_b", [1e-5, 1e-7, 0.0])
